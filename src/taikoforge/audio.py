@@ -3,7 +3,8 @@
 Pipeline: decode to mono 44.1kHz -> magnitude STFT on the 23ms grid ->
 triangular Mel filterbank (80 bands, 27.5 Hz..16 kHz) -> natural log with a
 1e-6 offset -> per-band zero-mean/unit-variance normalization fit on the
-training corpus -> 16-frame context windows.
+training corpus. ``WINDOW_FRAMES`` is the length of the model's audio
+window, which the dataset slides over these features one frame at a time.
 """
 
 from __future__ import annotations
@@ -214,17 +215,3 @@ def song_features(path: str | Path, stats: NormStats | None = None) -> np.ndarra
     feats = mel_project(stft_frames(samples, rate))
     return apply_norm(feats, stats) if stats is not None else feats
 
-
-def make_windows(frames: np.ndarray) -> np.ndarray:
-    """All 16-frame context windows, one ending at each frame.
-
-    Returns (n, 16, bands); window k holds frames k-15..k, left-padded with
-    zero frames where history is missing, so window 15 is the first with a
-    full real history (frames 0..15).
-    """
-    frames = np.atleast_2d(np.asarray(frames))
-    if frames.shape[0] < 1:
-        raise ValueError("need at least one frame")
-    padded = np.vstack([np.zeros((WINDOW_FRAMES - 1, frames.shape[1]), dtype=frames.dtype), frames])
-    view = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_FRAMES, axis=0)
-    return np.ascontiguousarray(np.swapaxes(view, 1, 2))

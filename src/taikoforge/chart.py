@@ -40,9 +40,6 @@ HIT_CLASSES = frozenset(
     {NoteClass.SMALL_DON, NoteClass.BIG_DON, NoteClass.SMALL_KAT, NoteClass.BIG_KAT}
 )
 
-#: Classes that span a contiguous run of frames.
-SPAN_CLASSES = frozenset({NoteClass.DRUMROLL, NoteClass.DENDEN})
-
 
 def ms_to_frame(t_ms: float) -> int:
     """Quantize a millisecond timestamp onto the 23ms grid (floor)."""
@@ -148,8 +145,5 @@ def one_hot(c: NoteClass) -> np.ndarray:
 
 
 def one_hot_rows(frames: np.ndarray) -> np.ndarray:
-    """One-hot encode an array of class indices into an (n, 7) float32 matrix."""
-    frames = np.asarray(frames)
-    rows = np.zeros((frames.size, NUM_CLASSES), dtype=np.float32)
-    rows[np.arange(frames.size), frames.astype(np.intp)] = 1.0
-    return rows
+    """One-hot encode an array of class indices of shape s into an (*s, 7) float32 array."""
+    return np.eye(NUM_CLASSES, dtype=np.float32)[np.asarray(frames, dtype=np.intp)]

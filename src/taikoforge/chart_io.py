@@ -17,6 +17,7 @@ for small Don / big Don / small Kat / big Kat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,13 @@ def _beat_length_at(timing: list[tuple[float, float]], t_ms: float) -> float:
     return active
 
 
+def _checked_time(t_ms: float, line: str) -> float:
+    """A time that becomes a frame: finite and non-negative."""
+    if not (math.isfinite(t_ms) and t_ms >= 0):
+        raise MalformedFile(f"time {t_ms}ms is not a finite, non-negative number: {line!r}")
+    return t_ms
+
+
 def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject:
     parts = line.split(",")
     if len(parts) < 5:
@@ -131,6 +139,7 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject
         hitsound = int(parts[4])
     except ValueError as exc:
         raise MalformedFile(f"unparsable hit object line: {line!r}") from exc
+    _checked_time(t, line)
 
     if obj_type & _TYPE_SPINNER:
         if len(parts) < 6:
@@ -139,7 +148,7 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject
             end = float(parts[5])
         except ValueError as exc:
             raise MalformedFile(f"bad spinner end time: {line!r}") from exc
-        return HitObject(t, "spinner", hitsound, end)
+        return HitObject(t, "spinner", hitsound, _checked_time(end, line))
 
     if obj_type & _TYPE_SLIDER:
         if len(parts) < 6:
@@ -148,9 +157,10 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject
         # real charts put a curve string there, so fall back to length math.
         try:
             end = float(parts[5])
-            return HitObject(t, "slider", hitsound, end)
         except ValueError:
             pass
+        else:
+            return HitObject(t, "slider", hitsound, _checked_time(end, line))
         if len(parts) < 8:
             raise MalformedFile(f"slider missing length: {line!r}")
         try:
@@ -160,7 +170,7 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject
             raise MalformedFile(f"bad slider parameters: {line!r}") from exc
         beat_len = _beat_length_at(timing, t)
         duration = length / (SLIDER_VELOCITY * PIXELS_PER_BEAT) * beat_len * slides
-        return HitObject(t, "slider", hitsound, t + duration)
+        return HitObject(t, "slider", hitsound, _checked_time(t + duration, line))
 
     if obj_type & _TYPE_CIRCLE:
         return HitObject(t, "circle", hitsound)
@@ -339,6 +349,8 @@ def read_sm(text: str, difficulty: str | None = None) -> SmChart:
         bpm = float(bpm_entries[0].split("=")[1])
     except (IndexError, ValueError) as exc:
         raise MalformedFile(f"bad #BPMS entry: {bpm_entries[0]!r}") from exc
+    if not (math.isfinite(bpm) and bpm > 0):
+        raise MalformedFile(f"BPM must be finite and positive, got {bpm}")
 
     offset_s = 0.0
     if "OFFSET" in tags:
@@ -346,6 +358,8 @@ def read_sm(text: str, difficulty: str | None = None) -> SmChart:
             offset_s = float(tags["OFFSET"][0].strip())
         except ValueError as exc:
             raise MalformedFile("bad #OFFSET value") from exc
+        if not math.isfinite(offset_s):
+            raise MalformedFile(f"#OFFSET must be finite, got {offset_s}")
 
     chosen: str | None = None
     for block in tags["NOTES"]:

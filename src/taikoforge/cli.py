@@ -56,6 +56,14 @@ def _osu_files(directory: Path) -> list[Path]:
     return files
 
 
+def _read_chart(path: Path) -> str:
+    """Chart files are UTF-8 text; anything else is an input error naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def _with_file_context(path: Path, fn):
     """Re-raise toolkit errors with the offending file's name prefixed."""
     try:
@@ -79,10 +87,8 @@ def cmd_build_dataset(args) -> int:
         wav_path = audio_dir / f"{chart_path.stem}.wav"
         samples, rate = _with_file_context(wav_path, lambda: audio.decode_audio(wav_path))
         length_ms = len(samples) * 1000 // rate
-        notes, _ = _with_file_context(
-            chart_path,
-            lambda: chart_io.parse_osu(chart_path.read_text(encoding="utf-8"), song_length_ms=length_ms),
-        )
+        text = _read_chart(chart_path)
+        notes, _ = _with_file_context(chart_path, lambda: chart_io.parse_osu(text, song_length_ms=length_ms))
         feats = audio.mel_project(audio.stft_frames(samples, rate))
         return chart_path.stem, feats, notes
 
@@ -155,7 +161,7 @@ def cmd_generate(args) -> int:
 
 
 def _binarize_file(path: Path):
-    text = path.read_text(encoding="utf-8")
+    text = _read_chart(path)
     if path.suffix == ".sm":
         return _with_file_context(path, lambda: chart_io.parse_sm(text)), None
     notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(text))
@@ -206,7 +212,8 @@ def cmd_stats(args) -> int:
     files = _osu_files(Path(args.charts))
 
     def load(path: Path):
-        notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(path.read_text(encoding="utf-8")))
+        text = _read_chart(path)
+        notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(text))
         return path.stem, metrics.note_distribution(notes)
 
     rows = dict(_map_songs(load, files))

@@ -1,13 +1,18 @@
 """Aligned training examples and their on-disk binary format.
 
-One example per sliding-window position ``i``: 16 feature frames i..i+15,
-the 15 note one-hots for frames i..i+14 (the window's final note is
-withheld from the input), and the 4 target one-hots for frames i+15..i+18.
+Each chart is stored once, as its normalized f32 feature rows and its uint8
+note frames, both padded to a common length. Example ``k`` of a chart is
+the slide of that chart's frames k..k+18: the 16 feature frames k..k+15,
+the 15 note one-hots for frames k..k+14 (the window's final note is
+withheld from the input), and the 4 target one-hots for frames k+15..k+18.
+Examples are gathered from the stored arrays on indexing, so only the
+indexed examples are copied.
 
 File layout (little-endian): magic ``TKND``, version u32, u32-length-prefixed
-UTF-8 JSON manifest (chart list, split assignment, normalization stats),
-example count u32, then f32 arrays in declared order — song windows, note
-contexts, targets.
+UTF-8 JSON manifest (chart list with per-chart example counts, split
+assignment, normalization stats), frame count u32, then the f32 feature
+rows (frames x bands) and the uint8 note frames (frames) of every chart in
+manifest order.
 """
 
 from __future__ import annotations
@@ -16,27 +21,22 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .audio import NUM_BANDS, WINDOW_FRAMES, NormStats, apply_norm, fit_norm
 from .chart import NUM_CLASSES, NoteClass, NoteFrameSequence, one_hot_rows
-from .errors import BadMagic, TooFewCharts, TooShort, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptFile, TooFewCharts, TooShort, TruncatedFile, VersionMismatch
 
 DATASET_MAGIC = b"TKND"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 CONTEXT_FRAMES = WINDOW_FRAMES - 1  # 15
 TARGET_FRAMES = 4
 #: Frames a chart must span beyond the window for one example to exist.
 MIN_FRAMES = WINDOW_FRAMES + TARGET_FRAMES - 1  # 19
 
-
-class TrainingExample(NamedTuple):
-    song_window: np.ndarray  # (16, 80) float32
-    note_context: np.ndarray  # (15, 7) float32 one-hot rows
-    targets: np.ndarray  # (4, 7) float32 one-hot rows
+_LAYOUT = {"window": WINDOW_FRAMES, "context": CONTEXT_FRAMES, "horizon": TARGET_FRAMES, "classes": NUM_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,65 @@ class DatasetManifest:
         val = sum(c.example_count for c in self.charts if c.split == "val")
         return train, val
 
+    def frame_count(self) -> int:
+        """Stored frames: each chart holds MIN_FRAMES - 1 more than its examples."""
+        return sum(c.example_count + MIN_FRAMES - 1 for c in self.charts)
+
+
+class _ExampleRows:
+    """One part of every example, indexable like an (examples, rows, width)
+    array by an int, a slice or an index array: ``count`` stored rows from
+    ``first`` frames into each selected example, gathered into a new array
+    and optionally one-hot encoded."""
+
+    def __init__(self, starts: np.ndarray, stored: np.ndarray, first: int, count: int, one_hot: bool):
+        self._starts = starts
+        self._stored = stored
+        self._offsets = np.arange(first, first + count)
+        self._one_hot = one_hot
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows = self._stored[self._starts[key][..., None] + self._offsets]
+        return one_hot_rows(rows) if self._one_hot else rows
+
 
 class Dataset:
-    """Manifest plus the flat example arrays, grouped by chart in manifest order."""
+    """Manifest plus every chart's feature rows and note frames, concatenated
+    in manifest order; examples are numbered chart by chart in that order.
 
-    def __init__(
-        self,
-        manifest: DatasetManifest,
-        windows: np.ndarray,
-        contexts: np.ndarray,
-        targets: np.ndarray,
-        norm: NormStats,
-    ):
-        total = sum(c.example_count for c in manifest.charts)
-        if windows.shape != (total, WINDOW_FRAMES, manifest.bands):
-            raise ValueError(f"windows shape {windows.shape} disagrees with manifest")
-        if contexts.shape != (total, CONTEXT_FRAMES, NUM_CLASSES):
-            raise ValueError(f"contexts shape {contexts.shape} disagrees with manifest")
-        if targets.shape != (total, TARGET_FRAMES, NUM_CLASSES):
-            raise ValueError(f"targets shape {targets.shape} disagrees with manifest")
+    ``windows[i]``, ``contexts[i]`` and ``targets[i]`` give example ``i`` (or
+    the examples an index array selects) as f32 arrays of shape (16, bands),
+    (15, 7) and (4, 7), with a leading axis for an index array.
+    """
+
+    def __init__(self, manifest: DatasetManifest, features: np.ndarray, notes: np.ndarray, norm: NormStats):
+        features = np.ascontiguousarray(features, dtype=np.float32)
+        notes = np.ascontiguousarray(notes, dtype=np.uint8)
+        frames = manifest.frame_count()
+        if features.shape != (frames, manifest.bands) or notes.shape != (frames,):
+            raise ValueError(
+                f"features {features.shape} and notes {notes.shape} disagree with the manifest's"
+                f" {frames} frames of {manifest.bands} bands"
+            )
+        if notes.size and notes.max() >= NUM_CLASSES:
+            raise ValueError("note frames must be valid NoteClass indices")
+        features.flags.writeable = False
+        notes.flags.writeable = False
         self.manifest = manifest
-        self.windows = windows
-        self.contexts = contexts
-        self.targets = targets
+        self.features = features
+        self.notes = notes
         self.norm = norm
 
-    def __len__(self) -> int:
-        return self.windows.shape[0]
+        counts = [c.example_count for c in manifest.charts]
+        chart_of = np.repeat(np.arange(len(counts)), counts)
+        starts = np.arange(chart_of.size) + (MIN_FRAMES - 1) * chart_of
+        self.windows = _ExampleRows(starts, features, 0, WINDOW_FRAMES, one_hot=False)
+        self.contexts = _ExampleRows(starts, notes, 0, CONTEXT_FRAMES, one_hot=True)
+        self.targets = _ExampleRows(starts, notes, CONTEXT_FRAMES, TARGET_FRAMES, one_hot=True)
+        self._count = chart_of.size
 
-    def example(self, i: int) -> TrainingExample:
-        return TrainingExample(self.windows[i], self.contexts[i], self.targets[i])
+    def __len__(self) -> int:
+        return self._count
 
     def indices(self, split: str) -> np.ndarray:
         out = []
@@ -97,12 +126,11 @@ class Dataset:
         return np.concatenate(out) if out else np.empty(0, dtype=np.intp)
 
 
-def build_examples(features: np.ndarray, notes: NoteFrameSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slide over one chart and emit (windows, contexts, targets) arrays.
+def _pad_chart(features: np.ndarray, notes: NoteFrameSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Align one chart's feature rows and note frames by index.
 
-    Feature rows and note frames are aligned by index; whichever is shorter
-    is padded (zero frames / no-note) to the longer length first. A chart
-    shorter than 19 frames yields no valid window and raises TooShort.
+    Whichever is shorter is padded (zero frames / no-note) to the longer
+    length. A chart shorter than 19 frames yields no example: TooShort.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float32))
     frames = notes.frames
@@ -113,17 +141,7 @@ def build_examples(features: np.ndarray, notes: NoteFrameSequence) -> tuple[np.n
         features = np.vstack([features, np.zeros((n - features.shape[0], features.shape[1]), dtype=np.float32)])
     if frames.size < n:
         frames = np.concatenate([frames, np.full(n - frames.size, int(NoteClass.NO_NOTE), dtype=np.uint8)])
-
-    count = n - MIN_FRAMES + 1
-    onehots = one_hot_rows(frames)
-    windows = np.lib.stride_tricks.sliding_window_view(features, WINDOW_FRAMES, axis=0)
-    contexts = np.lib.stride_tricks.sliding_window_view(onehots, CONTEXT_FRAMES, axis=0)
-    targets = np.lib.stride_tricks.sliding_window_view(onehots, TARGET_FRAMES, axis=0)
-    return (
-        np.ascontiguousarray(np.swapaxes(windows[:count], 1, 2), dtype=np.float32),
-        np.ascontiguousarray(np.swapaxes(contexts[:count], 1, 2), dtype=np.float32),
-        np.ascontiguousarray(np.swapaxes(targets[WINDOW_FRAMES - 1 :][:count], 1, 2), dtype=np.float32),
-    )
+    return features, frames
 
 
 def split_dataset(chart_ids, ratio: float = 0.9, seed: int = 0) -> tuple[list[str], list[str]]:
@@ -144,40 +162,29 @@ def assemble(charts: dict, ratio: float = 0.9, seed: int = 0) -> Dataset:
 
     Splits by chart (never by example, to keep adjacent windows out of the
     validation set), fits normalization on the training charts only, then
-    normalizes everything and slices examples.
+    normalizes and pads every chart.
     """
     train_ids, val_ids = split_dataset(charts.keys(), ratio, seed)
     split_of = {**{i: "train" for i in train_ids}, **{i: "val" for i in val_ids}}
     norm = fit_norm(charts[cid][0] for cid in sorted(train_ids))
 
-    entries = []
-    windows, contexts, targets = [], [], []
+    entries, features, notes = [], [], []
     for cid in sorted(charts):
-        feats, notes = charts[cid]
-        w, c, t = build_examples(apply_norm(feats, norm), notes)
-        entries.append(ChartEntry(cid, w.shape[0], split_of[cid]))
-        windows.append(w)
-        contexts.append(c)
-        targets.append(t)
-    return Dataset(
-        DatasetManifest(tuple(entries), bands=windows[0].shape[2]),
-        np.concatenate(windows),
-        np.concatenate(contexts),
-        np.concatenate(targets),
-        norm,
-    )
+        feats, frames = _pad_chart(apply_norm(charts[cid][0], norm), charts[cid][1])
+        entries.append(ChartEntry(cid, frames.size - MIN_FRAMES + 1, split_of[cid]))
+        features.append(feats)
+        notes.append(frames)
+    manifest = DatasetManifest(tuple(entries), bands=features[0].shape[1])
+    return Dataset(manifest, np.concatenate(features), np.concatenate(notes), norm)
 
 
 def save_dataset(path: str | Path, ds: Dataset) -> None:
-    """Write the dataset file. Example arrays are f32; the normalization
+    """Write the dataset file. Feature rows are f32; the normalization
     stats ride in the JSON manifest at full precision (repr round-trip)."""
     manifest_json = json.dumps(
         {
             "bands": ds.manifest.bands,
-            "window": WINDOW_FRAMES,
-            "context": CONTEXT_FRAMES,
-            "horizon": TARGET_FRAMES,
-            "classes": NUM_CLASSES,
+            **_LAYOUT,
             "norm_mean": ds.norm.mean.tolist(),
             "norm_std": ds.norm.std.tolist(),
             "charts": [
@@ -189,17 +196,42 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
         separators=(",", ":"),
     ).encode()
 
-    buf = bytearray()
-    buf += DATASET_MAGIC
-    buf += struct.pack("<I", DATASET_VERSION)
-    buf += struct.pack("<I", len(manifest_json)) + manifest_json
-    buf += struct.pack("<I", len(ds))
-    for arr in (ds.windows, ds.contexts, ds.targets):
-        buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as f:
+        f.write(DATASET_MAGIC)
+        f.write(struct.pack("<II", DATASET_VERSION, len(manifest_json)))
+        f.write(manifest_json)
+        f.write(struct.pack("<I", ds.notes.size))
+        f.write(ds.features.astype("<f4", copy=False).data)
+        f.write(ds.notes.data)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _read_manifest(meta) -> tuple[DatasetManifest, NormStats]:
+    """Validate a decoded manifest. Raises KeyError, TypeError or ValueError
+    on any missing key or ill-typed value."""
+    for key, value in _LAYOUT.items():
+        if meta[key] != value:
+            raise ValueError(f"{key} is {meta[key]!r}, expected {value}")
+    bands = meta["bands"]
+    if not _is_count(bands):
+        raise ValueError(f"bands is {bands!r}")
+    entries = []
+    for c in meta["charts"]:
+        if not (isinstance(c["id"], str) and _is_count(c["examples"]) and c["split"] in ("train", "val")):
+            raise ValueError(f"bad chart entry {c!r}")
+        entries.append(ChartEntry(c["id"], c["examples"], c["split"]))
+    norm = NormStats(np.asarray(meta["norm_mean"], dtype=np.float64), np.asarray(meta["norm_std"], dtype=np.float64))
+    if norm.mean.shape != (bands,) or not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
+        raise ValueError("normalization stats must be finite and hold one value per band")
+    return DatasetManifest(tuple(entries), bands=bands), norm
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """Read a dataset file. The arrays are read-only views of the file's
+    bytes, which are read once. Any structural fault raises CorruptFile."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != DATASET_MAGIC:
         raise BadMagic(f"{path}: not a dataset file")
@@ -217,23 +249,19 @@ def load_dataset(path: str | Path) -> Dataset:
     if version != DATASET_VERSION:
         raise VersionMismatch(f"{path}: dataset version {version}, expected {DATASET_VERSION}")
     (manifest_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(manifest_len).decode())
-    (count,) = struct.unpack("<I", take(4))
-
-    bands = int(meta["bands"])
-    manifest = DatasetManifest(
-        tuple(ChartEntry(c["id"], int(c["examples"]), c["split"]) for c in meta["charts"]),
-        bands=bands,
-    )
-
-    def read_f32(shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy()
-
-    windows = read_f32((count, WINDOW_FRAMES, bands))
-    contexts = read_f32((count, CONTEXT_FRAMES, NUM_CLASSES))
-    targets = read_f32((count, TARGET_FRAMES, NUM_CLASSES))
-    if pos != len(data):
-        raise TruncatedFile(f"{path}: {len(data) - pos} unexpected trailing bytes")
-    norm = NormStats(np.asarray(meta["norm_mean"], dtype=np.float64), np.asarray(meta["norm_std"], dtype=np.float64))
-    return Dataset(manifest, windows, contexts, targets, norm)
+    try:
+        manifest, norm = _read_manifest(json.loads(take(manifest_len).decode()))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise CorruptFile(f"{path}: bad manifest: {exc!r}") from exc
+    (frames,) = struct.unpack("<I", take(4))
+    payload = frames * (4 * manifest.bands + 1)
+    if len(data) - pos < payload:
+        raise TruncatedFile(f"{path}: dataset file ends early")
+    if len(data) - pos > payload:
+        raise CorruptFile(f"{path}: {len(data) - pos - payload} unexpected trailing bytes")
+    features = np.frombuffer(data, dtype="<f4", count=frames * manifest.bands, offset=pos)
+    notes = np.frombuffer(data, dtype=np.uint8, count=frames, offset=pos + features.nbytes)
+    try:  # also rejects a frame count that disagrees with the example counts
+        return Dataset(manifest, features.reshape(frames, manifest.bands), notes, norm)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc

@@ -21,7 +21,7 @@ from taikoforge.audio import (
 )
 from taikoforge.chart import FRAME_MS, HIT_CLASSES, NoteClass
 from taikoforge.chart_io import parse_osu, write_osu
-from taikoforge.dataset import ChartEntry, Dataset, DatasetManifest, build_examples
+from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
 from taikoforge.generator import generate_notes, postprocess
 from taikoforge.metrics import (
     HUMAN_TAIKO_REFERENCE_PCT,
@@ -138,10 +138,9 @@ def overfit_run(tmp_path_factory):
     raw = mel_project(stft_frames(samples, SAMPLE_RATE))
     norm = fit_norm([raw])
     feats = apply_norm(raw, norm)
-    w, c, t = build_examples(feats, chart)
     ds = Dataset(
-        DatasetManifest((ChartEntry("synthetic", w.shape[0], "train"),)),
-        w, c, t, norm,
+        DatasetManifest((ChartEntry("synthetic", len(chart) - MIN_FRAMES + 1, "train"),)),
+        feats, chart.frames, norm,
     )
     config = TrainConfig(
         checkpoint_dir=tmp_path_factory.mktemp("overfit"),
@@ -188,14 +187,11 @@ def test_phase1_loss_trend_on_overfit_corpus(overfit_run):
 
 def test_criterion_06_rollback_bit_compare(tmp_path):
     rng = np.random.default_rng(606)
-    from taikoforge.chart import one_hot_rows
-
-    total = 12
+    frames = 2 * (6 + MIN_FRAMES - 1)
     ds = Dataset(
         DatasetManifest((ChartEntry("a", 6, "train"), ChartEntry("b", 6, "val"))),
-        rng.normal(size=(total, 16, NUM_BANDS)).astype(np.float32),
-        one_hot_rows(rng.integers(0, 7, total * 15)).reshape(total, 15, 7),
-        one_hot_rows(rng.integers(0, 7, total * 4)).reshape(total, 4, 7),
+        rng.normal(size=(frames, NUM_BANDS)).astype(np.float32),
+        rng.integers(0, 7, frames),
         fit_norm([rng.normal(size=(10, NUM_BANDS))]),
     )
     k = 2

@@ -12,7 +12,6 @@ from taikoforge.audio import (
     NUM_BANDS,
     SAMPLE_RATE,
     SPECTRUM_BINS,
-    WINDOW_FRAMES,
     WINDOW_SAMPLES,
     NormStats,
     apply_norm,
@@ -20,7 +19,6 @@ from taikoforge.audio import (
     fit_norm,
     frame_count_for,
     hz_to_mel,
-    make_windows,
     mel_filterbank,
     mel_project,
     mel_to_hz,
@@ -279,28 +277,3 @@ class TestNorm:
         with pytest.raises(ValueError):
             NormStats(np.zeros(4), np.zeros(4))
 
-
-class TestWindows:
-    def test_exactly_sixteen_frames(self):
-        frames = np.arange(WINDOW_FRAMES * 3, dtype=np.float64).reshape(WINDOW_FRAMES, 3)
-        wins = make_windows(frames)
-        assert wins.shape == (WINDOW_FRAMES, WINDOW_FRAMES, 3)
-        # the first unpadded window ends at the last frame
-        assert np.array_equal(wins[-1], frames)
-
-    def test_single_frame_left_padded(self):
-        frames = np.ones((1, 4))
-        wins = make_windows(frames)
-        assert wins.shape == (1, WINDOW_FRAMES, 4)
-        assert np.all(wins[0, :-1] == 0.0)
-        assert np.all(wins[0, -1] == 1.0)
-
-    def test_one_window_per_frame(self):
-        wins = make_windows(np.zeros((100, 2)))
-        assert wins.shape[0] == 100
-
-    def test_window_k_ends_at_frame_k(self):
-        frames = np.arange(40, dtype=np.float64)[:, None]
-        wins = make_windows(frames)
-        for k in (0, 10, 39):
-            assert wins[k, -1, 0] == frames[k, 0]

@@ -126,6 +126,25 @@ class TestParseOsu:
         assert meta.timing == ((0.0, 500.0),)
         assert notes[43] == NoteClass.DRUMROLL
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "256,192,nan,1,0,0:0:0:0:",
+            "256,192,-46,1,0,0:0:0:0:",
+            "256,192,inf,1,0,0:0:0:0:",
+            "256,192,100,2,0,nan",
+            "256,192,100,12,0,inf",
+            "256,192,100,12,0,nan",
+        ],
+    )
+    def test_bad_times_rejected(self, line):
+        with pytest.raises(MalformedFile):
+            parse_osu(osu_text([line]))
+
+    def test_non_finite_slider_length_rejected(self):
+        with pytest.raises(MalformedFile):
+            parse_osu(osu_text(["256,192,100,2,0,B|300:192,1,nan"]))
+
     def test_crlf_and_comments_tolerated(self):
         text = osu_text(["256,192,230,1,0,0:0:0:0:"]).replace("\n", "\r\n")
         text = "// generated\r\n" + text
@@ -228,6 +247,16 @@ class TestParseSm:
         text = SM_BODY.replace("0.000=120.000", "0.000=120.000,16.000=150.000")
         with pytest.raises(MultiBpmUnsupported):
             parse_sm(text)
+
+    @pytest.mark.parametrize("bpm", ["0.000", "-120.000", "nan", "inf"])
+    def test_bad_bpm_rejected(self, bpm):
+        with pytest.raises(MalformedFile):
+            parse_sm(SM_BODY.replace("0.000=120.000", f"0.000={bpm}"))
+
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(MalformedFile):
+            parse_sm(SM_BODY.replace("#OFFSET:0.000;", f"#OFFSET:{offset};"))
 
     def test_bad_row_rejected(self):
         with pytest.raises(MalformedFile):

@@ -85,6 +85,15 @@ class TestTrain:
         assert code == 2
         assert not (out_dir / "final.tknm").exists()
 
+    def test_corrupt_manifest_exits_2(self, built_dataset, tmp_path, capsys):
+        data = bytearray(built_dataset.read_bytes())
+        data[12] = ord("[")  # the manifest's opening brace
+        built_dataset.write_bytes(bytes(data))
+        code = run(["train", "--dataset", built_dataset, "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad manifest" in err and "Traceback" not in err
+
     def test_rerun_bit_identical(self, built_dataset, tmp_path):
         finals = []
         for name in ("r1", "r2"):
@@ -201,6 +210,22 @@ class TestStats:
         out = capsys.readouterr().out
         assert "human reference" in out
         assert "82.180%" in out
+
+    def test_nan_time_exits_2(self, tiny_corpus, capsys):
+        charts_dir, _ = tiny_corpus
+        path = charts_dir / "song_a.osu"
+        path.write_text(path.read_text() + "256,192,nan,1,0,0:0:0:0:\n")
+        assert run(["stats", "--charts", charts_dir]) == 2
+        err = capsys.readouterr().err
+        assert "song_a.osu" in err and "Traceback" not in err
+
+    def test_latin1_chart_exits_2(self, tiny_corpus, capsys):
+        charts_dir, _ = tiny_corpus
+        path = charts_dir / "song_a.osu"
+        path.write_bytes(path.read_text().replace("song_a.wav", "chanson_été.wav").encode("latin-1"))
+        assert run(["stats", "--charts", charts_dir]) == 2
+        err = capsys.readouterr().err
+        assert "song_a.osu" in err and "UTF-8" in err and "Traceback" not in err
 
 
 class TestParser:

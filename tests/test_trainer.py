@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from taikoforge.audio import NUM_BANDS, NormStats
-from taikoforge.chart import one_hot_rows
-from taikoforge.dataset import ChartEntry, Dataset, DatasetManifest
+from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
 from taikoforge.errors import ExplosionAtFirstEpoch
 from taikoforge.neural import adam_step, backward, forward, init_adam_state, init_params
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
@@ -11,14 +10,13 @@ from taikoforge.trainer import TrainConfig, evaluate_loss, train
 
 def tiny_dataset(seed=0, per_chart=10):
     rng = np.random.default_rng(seed)
-    total = per_chart * 2
-    windows = rng.normal(0, 1, size=(total, 16, NUM_BANDS)).astype(np.float32)
-    contexts = one_hot_rows(rng.integers(0, 7, size=total * 15)).reshape(total, 15, 7)
-    targets = one_hot_rows(rng.integers(0, 7, size=total * 4)).reshape(total, 4, 7)
+    frames = 2 * (per_chart + MIN_FRAMES - 1)
+    features = rng.normal(0, 1, size=(frames, NUM_BANDS)).astype(np.float32)
+    notes = rng.integers(0, 7, size=frames)
     manifest = DatasetManifest(
         (ChartEntry("train_song", per_chart, "train"), ChartEntry("val_song", per_chart, "val"))
     )
-    return Dataset(manifest, windows, contexts, targets, NormStats(np.zeros(NUM_BANDS), np.ones(NUM_BANDS)))
+    return Dataset(manifest, features, notes, NormStats(np.zeros(NUM_BANDS), np.ones(NUM_BANDS)))
 
 
 def quick_config(tmp_path, **overrides):
