@@ -349,8 +349,9 @@ def read_sm(text: str, difficulty: str | None = None) -> SmChart:
         bpm = float(bpm_entries[0].split("=")[1])
     except (IndexError, ValueError) as exc:
         raise MalformedFile(f"bad #BPMS entry: {bpm_entries[0]!r}") from exc
-    if not (math.isfinite(bpm) and bpm > 0):
-        raise MalformedFile(f"BPM must be finite and positive, got {bpm}")
+    # a subnormal BPM is positive, but its beat length 60000/bpm is infinite
+    if not (math.isfinite(bpm) and bpm > 0 and math.isfinite(60000.0 / bpm)):
+        raise MalformedFile(f"BPM must be finite and positive with a finite beat length, got {bpm}")
 
     offset_s = 0.0
     if "OFFSET" in tags:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, chart_io, dataset, generator, metrics, trainer
-from .chart import NUM_CLASSES, NoteClass, binarize
+from .chart import NUM_CLASSES, BinaryChart, NoteClass, NoteFrameSequence, binarize
 from .errors import TaikoForgeError
 from .neural import load_checkpoint
 
@@ -168,6 +168,11 @@ def _binarize_file(path: Path):
     return binarize(notes), notes
 
 
+def _pad(frames: np.ndarray, n: int) -> np.ndarray:
+    """Extend a per-frame array to n frames with zeros (no note, no input)."""
+    return np.pad(frames, (0, n - len(frames)))
+
+
 def cmd_evaluate(args) -> int:
     model_dir = Path(args.model_dir)
     human_dir = Path(args.human_dir)
@@ -184,6 +189,15 @@ def cmd_evaluate(args) -> int:
     def eval_song(song: str):
         model_bits, model_notes = _binarize_file(model_files[song])
         human_bits, human_notes = _binarize_file(human_files[song])
+        # both charts belong to one song, and each ends at its last object:
+        # pad the shorter with empty frames so the whole song is scored
+        n = max(len(model_bits), len(human_bits))
+        if n == 0:
+            raise InputError(f"{song}: both charts are empty")
+        model_bits, human_bits = (BinaryChart(_pad(b.bits, n)) for b in (model_bits, human_bits))
+        model_notes, human_notes = (
+            None if c is None else NoteFrameSequence(_pad(c.frames, n)) for c in (model_notes, human_notes)
+        )
         ev = metrics.evaluate_pair(song, model_bits, human_bits, seed=args.seed, draws=args.draws)
         return ev, model_notes, human_notes
 

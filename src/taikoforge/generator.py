@@ -59,7 +59,8 @@ def generate_notes(
     pending: list[list[np.ndarray]] = [[] for _ in range(n)]
 
     for i in range(n - lead_in):
-        quad, _ = forward(params, features[i : i + window], context[i : i + lead_in])
+        quads, _ = forward(params, features[None, i : i + window], context[None, i : i + lead_in])
+        quad = quads[0]
         for k in range(quad.shape[0]):
             t = i + lead_in + k
             if t < n:

@@ -1,12 +1,15 @@
 """Self-contained numerical core: the conv+LSTM chart model.
 
-No ML runtime; everything is numpy. One example at a time, float32 by
-default, float64 available for finite-difference gradient verification.
+No ML runtime; everything is numpy. Every layer takes a leading batch
+axis, so one :func:`forward` / :func:`backward` call runs a whole batch
+(training minibatches, validation chunks, and generation's single
+window alike). float32 by default, float64 available for
+finite-difference gradient verification.
 
 Layout conventions, fixed across forward/backward/checkpoints:
 
-* images are (height=frames, width=bands, channels), conv kernels are
-  (out_ch, in_ch, 3, 3) with same-padding, pooling is 2x2;
+* images are (batch, height=frames, width=bands, channels), conv kernels
+  are (out_ch, in_ch, 3, 3) with same-padding, pooling is 2x2;
 * fully-connected weights are (in, out), applied as ``x @ w + b``;
 * LSTM gate weights pack the four gates row-wise as [input; forget;
   candidate; output], each ``hidden`` rows: w_x is (4*hidden, in),
@@ -201,267 +204,289 @@ def init_params(
 
 # ---------------------------------------------------------------- layers
 
+def _im2col(x):
+    """Same-padded 3x3 neighbourhoods of a (B, H, W, Cin) batch as a
+    (B*H*W, 9*Cin) matrix, ordered (ky, kx, cin) along each row."""
+    n, hh, ww, cin = x.shape
+    xp = np.zeros((n, hh + 2, ww + 2, cin), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1] = x
+    cols = np.empty((n, hh, ww, 9 * cin), dtype=x.dtype)
+    for k in range(9):
+        ky, kx = divmod(k, 3)
+        cols[..., k * cin : (k + 1) * cin] = xp[:, ky : ky + hh, kx : kx + ww]
+    return cols.reshape(n * hh * ww, 9 * cin)
+
+
+def _flat_kernel(w):
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
 def _conv2d(x, w, b):
-    """Same-padded 3x3 convolution via im2col. x: (H, W, Cin)."""
-    hh, ww, cin = x.shape
-    cout = w.shape[0]
-    xp = np.zeros((hh + 2, ww + 2, cin), dtype=x.dtype)
-    xp[1:-1, 1:-1] = x
-    cols = np.empty((hh, ww, 9 * cin), dtype=x.dtype)
-    for k in range(9):
-        ky, kx = divmod(k, 3)
-        cols[:, :, k * cin : (k + 1) * cin] = xp[ky : ky + hh, kx : kx + ww]
-    cols = cols.reshape(hh * ww, 9 * cin)
-    wflat = w.transpose(0, 2, 3, 1).reshape(cout, 9 * cin)
-    y = (cols @ wflat.T).reshape(hh, ww, cout) + b
-    return y, (cols, wflat, x.shape, cout)
+    """Same-padded 3x3 convolution of a (B, H, W, Cin) batch via im2col."""
+    y = (_im2col(x) @ _flat_kernel(w).T).reshape(*x.shape[:3], w.shape[0])
+    y += b
+    return y
 
 
-def _conv2d_backward(cache, dy):
-    cols, wflat, (hh, ww, cin), cout = cache
-    dyf = dy.reshape(hh * ww, cout)
-    dwflat = dyf.T @ cols
-    dw = dwflat.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
-    db = dyf.sum(axis=0)
-    dcols = (dyf @ wflat).reshape(hh, ww, 9, cin)
-    dxp = np.zeros((hh + 2, ww + 2, cin), dtype=dy.dtype)
+def _conv2d_backward(x, w, dy):
+    """Kernel and bias gradients of :func:`_conv2d`. The im2col matrix is
+    rebuilt from the input rather than kept from the forward pass."""
+    cout, cin = w.shape[:2]
+    dyf = dy.reshape(-1, cout)
+    dw = (dyf.T @ _im2col(x)).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+    return dw, dyf.sum(axis=0)
+
+
+def _conv2d_input_grad(w, dy):
+    """Input gradient of :func:`_conv2d` for an output gradient dy."""
+    n, hh, ww, cout = dy.shape
+    cin = w.shape[1]
+    dcols = (dy.reshape(-1, cout) @ _flat_kernel(w)).reshape(n, hh, ww, 9, cin)
+    dxp = np.zeros((n, hh + 2, ww + 2, cin), dtype=dy.dtype)
     for k in range(9):
         ky, kx = divmod(k, 3)
-        dxp[ky : ky + hh, kx : kx + ww] += dcols[:, :, k]
-    return dxp[1:-1, 1:-1], dw, db
+        dxp[:, ky : ky + hh, kx : kx + ww] += dcols[:, :, :, k]
+    return dxp[:, 1:-1, 1:-1]
 
 
 def _maxpool2(x):
-    """2x2 max pool; ties resolve to the first position (argmax)."""
-    hh, ww, c = x.shape
-    xr = x.reshape(hh // 2, 2, ww // 2, 2, c).transpose(0, 2, 4, 1, 3).reshape(
-        hh // 2, ww // 2, c, 4
+    """2x2 max pool of a (B, H, W, C) batch. Also returns, as uint8, which
+    of the four inputs each output took; ties resolve to the first."""
+    n, hh, ww, c = x.shape
+    xr = x.reshape(n, hh // 2, 2, ww // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(
+        n, hh // 2, ww // 2, c, 4
     )
-    idx = xr.argmax(axis=3)
-    out = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
-    return out, (idx, x.shape)
+    return xr.max(axis=-1), xr.argmax(axis=-1).astype(np.uint8)
 
 
-def _maxpool2_backward(cache, dy):
-    idx, (hh, ww, c) = cache
-    dxr = np.zeros((hh // 2, ww // 2, c, 4), dtype=dy.dtype)
-    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=3)
-    return dxr.reshape(hh // 2, ww // 2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(hh, ww, c)
+def _maxpool2_backward(idx, dy):
+    n, h2, w2, c = idx.shape
+    dxr = np.where(idx[..., None] == np.arange(4, dtype=np.uint8), dy[..., None], 0)
+    return dxr.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * h2, 2 * w2, c)
 
 
-def _dropout_mask(shape, rng, dtype):
-    """Inverted dropout: zero with probability DROPOUT_P, scale survivors."""
-    return (rng.random(shape) >= DROPOUT_P).astype(dtype) / np.asarray(
-        1.0 - DROPOUT_P, dtype=dtype
-    )
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gate_scale(hidden: int, dtype) -> np.ndarray:
+    """s per packed gate row: 0.5 on the sigmoid gates i, f, o and 1 on the
+    tanh candidate g, so that ``s*tanh(s*z) + (1-s)`` is each gate's value
+    (sigmoid(z) = 0.5*tanh(z/2) + 0.5)."""
+    s = np.full(4 * hidden, 0.5, dtype=dtype)
+    s[2 * hidden : 3 * hidden] = 1.0
+    return s
 
 
 def _lstm_forward(wx, wh, b, xs):
-    """Run one LSTM layer over a (T, in) sequence; returns (T, hidden) outputs."""
-    t_steps = xs.shape[0]
+    """Run one LSTM layer over a (B, T, in) batch; returns (B, T, hidden) outputs.
+
+    The input projections of every step are one matmul before the
+    recurrence, which then adds only ``h @ wh.T`` per step.
+    """
+    n, t_steps, _ = xs.shape
     h = wh.shape[1]
-    hs = np.zeros((t_steps, h), dtype=xs.dtype)
-    cs = np.zeros((t_steps, h), dtype=xs.dtype)
-    gates = np.zeros((t_steps, 4, h), dtype=xs.dtype)
-    h_t = np.zeros(h, dtype=xs.dtype)
-    c_t = np.zeros(h, dtype=xs.dtype)
+    s = _gate_scale(h, xs.dtype)
+    shift = 1.0 - s
+    zx = xs @ wx.T + b
+    gates = np.empty_like(zx)
+    hs = np.empty((n, t_steps, h), dtype=xs.dtype)
+    cs = np.empty((n, t_steps, h), dtype=xs.dtype)
+    h_t = np.zeros((n, h), dtype=xs.dtype)
+    c_t = np.zeros((n, h), dtype=xs.dtype)
     for t in range(t_steps):
-        z = wx @ xs[t] + wh @ h_t + b
-        i = _sigmoid(z[:h])
-        f = _sigmoid(z[h : 2 * h])
-        g = np.tanh(z[2 * h : 3 * h])
-        o = _sigmoid(z[3 * h :])
+        a = np.tanh((zx[:, t] + h_t @ wh.T) * s)
+        a *= s
+        a += shift
+        i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
         c_t = f * c_t + i * g
         h_t = o * np.maximum(c_t, 0.0)
-        gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3] = i, f, g, o
-        cs[t] = c_t
-        hs[t] = h_t
+        gates[:, t] = a
+        cs[:, t] = c_t
+        hs[:, t] = h_t
     return hs, (wx, wh, xs, hs, cs, gates)
 
 
 def _lstm_backward(cache, dh_ext):
-    """Backpropagate through time; dh_ext is the (T, hidden) external grad."""
+    """Backpropagate through time; dh_ext is the (B, T, hidden) external grad.
+
+    Each step's pre-activation gradient is kept, so the weight and bias
+    gradients are one matmul (or sum) each after the loop.
+    """
     wx, wh, xs, hs, cs, gates = cache
-    t_steps, h = hs.shape
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * h, dtype=wx.dtype)
-    dxs = np.zeros_like(xs)
-    dh_next = np.zeros(h, dtype=wx.dtype)
-    dc_next = np.zeros(h, dtype=wx.dtype)
+    n, t_steps, h = hs.shape
+    # d gate / d z: a*(1-a) on the sigmoid gates, (1-g)*(1+g) on the candidate
+    slope = (1.0 - gates) * (gates + (2.0 * _gate_scale(h, gates.dtype) - 1.0))
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((n, h), dtype=wx.dtype)
+    dc_next = np.zeros((n, h), dtype=wx.dtype)
     for t in range(t_steps - 1, -1, -1):
-        i, f, g, o = gates[t]
-        c = cs[t]
-        c_prev = cs[t - 1] if t > 0 else np.zeros(h, dtype=wx.dtype)
-        h_prev = hs[t - 1] if t > 0 else np.zeros(h, dtype=wx.dtype)
-        dh = dh_ext[t] + dh_next
-        do = dh * np.maximum(c, 0.0)
+        a = gates[:, t]
+        i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
+        c = cs[:, t]
+        dh = dh_ext[:, t] + dh_next
         dc = dc_next + dh * o * (c > 0)
-        dz = np.concatenate([
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dc * i * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dwx += np.outer(dz, xs[t])
-        dwh += np.outer(dz, h_prev)
-        db += dz
-        dxs[t] = wx.T @ dz
-        dh_next = wh.T @ dz
+        dzt = dz[:, t]
+        dzt[:, :h] = dc * g
+        dzt[:, h : 2 * h] = dc * cs[:, t - 1] if t else 0.0
+        dzt[:, 2 * h : 3 * h] = dc * i
+        dzt[:, 3 * h :] = dh * np.maximum(c, 0.0)
+        dzt *= slope[:, t]
+        dh_next = dzt @ wh
         dc_next = dc * f
-    return dxs, dwx, dwh, db
+    dz_rows = dz.reshape(n * t_steps, 4 * h)
+    dwx = dz_rows.T @ xs.reshape(n * t_steps, -1)
+    dwh = dz[:, 1:].reshape(-1, 4 * h).T @ hs[:, :-1].reshape(-1, h)
+    return dz @ wx, dwx, dwh, dz_rows.sum(axis=0)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def pad_note_vectors(note_context: np.ndarray, arch: ArchConfig, dtype) -> np.ndarray:
     """Right-pad the note one-hots with a constant 1 and append the all-ones
-    vector standing in for the masked final segment."""
-    out = np.ones((arch.frames, arch.seg_features), dtype=dtype)
-    out[: arch.context, : arch.classes] = note_context
+    vector standing in for the masked final segment. Leading batch axes
+    pass through."""
+    out = np.ones(note_context.shape[:-2] + (arch.frames, arch.seg_features), dtype=dtype)
+    out[..., : arch.context, : arch.classes] = note_context
     return out
 
 
 def forward(
     params: ModelParams,
-    song_window: np.ndarray,
-    note_context: np.ndarray,
+    windows: np.ndarray,
+    contexts: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """One pass through the network.
+    """One pass through the network for a batch of B examples.
 
-    ``song_window`` is (frames, bands); ``note_context`` is (frames-1, 7)
+    ``windows`` is (B, frames, bands); ``contexts`` is (B, frames-1, 7)
     where each row is a one-hot note class or all zeros (the generation-time
-    placeholder for frames before any note was decided). Returns the (4, 7)
-    prediction quad — one probability row per future timestamp — and the
-    cache consumed by :func:`backward`.
+    placeholder for frames before any note was decided). Returns the
+    (B, 4, 7) prediction quads — one probability row per future timestamp —
+    and the cache consumed by :func:`backward`.
+
+    In training mode each example draws its conv1 dropout flags, then its
+    lstm1 flags, from ``rng`` in batch order: the same stream as B calls of
+    one example each.
     """
     arch = params.arch
     dtype = params.dtype
-    song_window = np.asarray(song_window, dtype=dtype)
-    note_context = np.asarray(note_context, dtype=dtype)
-    if song_window.shape != (arch.frames, arch.bands):
-        raise ShapeMismatch(f"song window must be {(arch.frames, arch.bands)}, got {song_window.shape}")
-    if note_context.shape != (arch.context, arch.classes):
-        raise ShapeMismatch(f"note context must be {(arch.context, arch.classes)}, got {note_context.shape}")
+    windows = np.asarray(windows, dtype=dtype)
+    contexts = np.asarray(contexts, dtype=dtype)
+    if windows.ndim != 3 or windows.shape[1:] != (arch.frames, arch.bands):
+        raise ShapeMismatch(f"song windows must be (B, {arch.frames}, {arch.bands}), got {windows.shape}")
+    n = windows.shape[0]
+    if contexts.shape != (n, arch.context, arch.classes):
+        raise ShapeMismatch(f"note contexts must be {(n, arch.context, arch.classes)}, got {contexts.shape}")
     if training and rng is None:
         raise ValueError("training mode needs an rng for dropout masks")
 
-    a1, conv1_cache = _conv2d(song_window[:, :, None], params["conv1_w"], params["conv1_b"])
-    r1 = np.maximum(a1, 0.0)
+    mask1 = mask2 = None
     if training:
-        mask1 = _dropout_mask(r1.shape, rng, dtype)
-        d1 = r1 * mask1
-    else:
-        mask1 = None
-        d1 = r1
-    p1, pool1_cache = _maxpool2(d1)
+        size1 = arch.frames * arch.bands * arch.conv1_filters
+        keep = rng.random((n, size1 + arch.frames * arch.hidden)) >= DROPOUT_P
+        mask1 = keep[:, :size1].reshape(n, arch.frames, arch.bands, arch.conv1_filters)
+        mask2 = keep[:, size1:].reshape(n, arch.frames, arch.hidden)
+    scale = np.asarray(1.0 / (1.0 - DROPOUT_P), dtype=dtype)
 
-    a2, conv2_cache = _conv2d(p1, params["conv2_w"], params["conv2_b"])
-    r2 = np.maximum(a2, 0.0)
-    p2, pool2_cache = _maxpool2(r2)
+    x = windows[..., None]
+    a1 = _conv2d(x, params["conv1_w"], params["conv1_b"])
+    d1 = np.maximum(a1, 0.0)
+    if training:
+        d1 *= mask1
+        d1 *= scale
+    p1, pool1 = _maxpool2(d1)
+    del d1
 
-    flat = p2.reshape(-1)
+    a2 = _conv2d(p1, params["conv2_w"], params["conv2_b"])
+    p2, pool2 = _maxpool2(np.maximum(a2, 0.0))
+
+    flat = p2.reshape(n, -1)
     a3 = flat @ params["fc1_w"] + params["fc1_b"]
-    r3 = np.maximum(a3, 0.0)
-    segs = r3.reshape(arch.frames, arch.seg_features)
+    notes8 = pad_note_vectors(contexts, arch, dtype)
+    fused = np.maximum(a3, 0.0).reshape(n, arch.frames, arch.seg_features) * notes8
 
-    notes8 = pad_note_vectors(note_context, arch, dtype)
-    fused = segs * notes8
+    hs1, lstm1 = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], fused)
+    hd = hs1 * mask2 * scale if training else hs1
+    hs2, lstm2 = _lstm_forward(params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"], hd)
 
-    hs1, lstm1_cache = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], fused)
-    if training:
-        mask2 = _dropout_mask(hs1.shape, rng, dtype)
-        hd = hs1 * mask2
-    else:
-        mask2 = None
-        hd = hs1
-    hs2, lstm2_cache = _lstm_forward(params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"], hd)
-
-    h_last = hs2[-1]
+    h_last = hs2[:, -1]
     logits = h_last @ params["out_w"] + params["out_b"]
-    probs = softmax_rows(logits.reshape(arch.horizon, arch.classes))
+    probs = softmax_rows(logits.reshape(n, arch.horizon, arch.classes))
     if not np.isfinite(probs).all():
         raise NonFiniteActivation("forward pass produced non-finite probabilities")
 
     cache = {
-        "conv1": conv1_cache, "a1": a1, "mask1": mask1, "pool1": pool1_cache,
-        "conv2": conv2_cache, "a2": a2, "pool2": pool2_cache,
-        "flat": flat, "a3": a3, "notes8": notes8,
-        "lstm1": lstm1_cache, "mask2": mask2, "lstm2": lstm2_cache,
-        "h_last": h_last, "probs": probs, "p2_shape": p2.shape,
+        "x": x, "a1": a1, "mask1": mask1, "pool1": pool1, "p1": p1,
+        "a2": a2, "pool2": pool2, "flat": flat, "a3": a3, "notes8": notes8,
+        "lstm1": lstm1, "mask2": mask2, "lstm2": lstm2,
+        "h_last": h_last, "probs": probs, "scale": scale,
     }
     return probs, cache
 
 
 def loss(pred: np.ndarray, targets: np.ndarray) -> float:
-    """Mean categorical cross-entropy over the four predicted timestamps.
+    """Categorical cross-entropy averaged over every predicted row: the
+    batch mean of each example's mean over its four timestamps.
 
     ``targets`` rows are one-hot; predicted probabilities are clamped to
     1e-9 so an exactly-wrong prediction stays finite (~20.72 per row).
     """
     pred = np.asarray(pred, dtype=np.float64)
-    cls = np.asarray(targets).argmax(axis=1)
-    picked = np.clip(pred[np.arange(pred.shape[0]), cls], PROB_FLOOR, None)
-    return float(-np.log(picked).mean())
+    cls = np.asarray(targets).argmax(axis=-1)
+    picked = np.take_along_axis(pred, cls[..., None], axis=-1)
+    return float(-np.log(np.clip(picked, PROB_FLOOR, None)).mean())
 
 
 def backward(params: ModelParams, cache: dict, targets: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of :func:`loss` w.r.t. every parameter.
+    """Exact gradients of the batch-mean :func:`loss` w.r.t. every parameter.
 
     Reuses the forward pass's dropout masks. Assumes the loss probability
     clamp is inactive (it only engages on fully saturated softmax rows).
     """
     arch = params.arch
     dtype = params.dtype
+    probs = cache["probs"]
+    n = probs.shape[0]
     targets = np.asarray(targets, dtype=dtype)
-    if targets.shape != (arch.horizon, arch.classes):
-        raise ShapeMismatch(f"targets must be {(arch.horizon, arch.classes)}, got {targets.shape}")
+    if targets.shape != probs.shape:
+        raise ShapeMismatch(f"targets must be {probs.shape}, got {targets.shape}")
 
-    dlogits = ((cache["probs"] - targets) / arch.horizon).astype(dtype).reshape(-1)
+    # per-example scale 1/horizon here; the sums over the batch are
+    # divided by B once, at the end
+    dlogits = ((probs - targets) / arch.horizon).astype(dtype).reshape(n, -1)
     grads: dict[str, np.ndarray] = {}
-    grads["out_w"] = np.outer(cache["h_last"], dlogits)
-    grads["out_b"] = dlogits
-    dh_last = params["out_w"] @ dlogits
+    grads["out_w"] = cache["h_last"].T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
 
-    dh_ext2 = np.zeros((arch.frames, arch.hidden), dtype=dtype)
-    dh_ext2[-1] = dh_last
+    dh_ext2 = np.zeros((n, arch.frames, arch.hidden), dtype=dtype)
+    dh_ext2[:, -1] = dlogits @ params["out_w"].T
     dhd, grads["lstm2_wx"], grads["lstm2_wh"], grads["lstm2_b"] = _lstm_backward(cache["lstm2"], dh_ext2)
     if cache["mask2"] is not None:
-        dhd = dhd * cache["mask2"]
+        dhd *= cache["mask2"]
+        dhd *= cache["scale"]
     dfused, grads["lstm1_wx"], grads["lstm1_wh"], grads["lstm1_b"] = _lstm_backward(cache["lstm1"], dhd)
 
-    dsegs = dfused * cache["notes8"]
-    da3 = dsegs.reshape(-1) * (cache["a3"] > 0)
-    grads["fc1_w"] = np.outer(cache["flat"], da3)
-    grads["fc1_b"] = da3
-    dflat = params["fc1_w"] @ da3
+    da3 = (dfused * cache["notes8"]).reshape(n, -1) * (cache["a3"] > 0)
+    grads["fc1_w"] = cache["flat"].T @ da3
+    grads["fc1_b"] = da3.sum(axis=0)
+    dp2 = (da3 @ params["fc1_w"].T).reshape(cache["pool2"].shape)
 
-    dp2 = dflat.reshape(cache["p2_shape"])
-    dr2 = _maxpool2_backward(cache["pool2"], dp2)
-    da2 = dr2 * (cache["a2"] > 0)
-    dp1, grads["conv2_w"], grads["conv2_b"] = _conv2d_backward(cache["conv2"], da2)
+    da2 = _maxpool2_backward(cache["pool2"], dp2)
+    da2 *= cache["a2"] > 0
+    grads["conv2_w"], grads["conv2_b"] = _conv2d_backward(cache["p1"], params["conv2_w"], da2)
+    dp1 = _conv2d_input_grad(params["conv2_w"], da2)
 
-    dd1 = _maxpool2_backward(cache["pool1"], dp1)
+    da1 = _maxpool2_backward(cache["pool1"], dp1)
     if cache["mask1"] is not None:
-        dd1 = dd1 * cache["mask1"]
-    da1 = dd1 * (cache["a1"] > 0)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv2d_backward(cache["conv1"], da1)
+        da1 *= cache["mask1"]
+        da1 *= cache["scale"]
+    da1 *= cache["a1"] > 0
+    grads["conv1_w"], grads["conv1_b"] = _conv2d_backward(cache["x"], params["conv1_w"], da1)
 
     for g in grads.values():
+        g /= n
         if not np.isfinite(g).all():
             raise NonFiniteGradient("backward pass produced non-finite gradients")
     return grads
@@ -507,46 +532,51 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
 
 # ----------------------------------------------------------- checkpoints
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype="<f4")
+def _array_header(name: str, data: np.ndarray) -> bytes:
     head = struct.pack("<H", len(name)) + name.encode()
-    head += struct.pack("<B", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape)
-    return head + data.tobytes()
+    return head + struct.pack("<B", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape)
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, state: AdamState | None = None) -> None:
     """Serialize parameters, Adam state, and normalization stats.
 
     Versioned little-endian layout, f32 arrays, trailing CRC32 of the whole
-    preceding byte stream.
+    preceding byte stream. Arrays are written from their own buffers, with
+    no copy of the whole file in memory.
     """
     if state is None:
         state = init_adam_state(params)
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
-    buf += struct.pack("<8I", *params.arch.as_tuple())
-    buf += np.ascontiguousarray(params.norm.mean, dtype="<f8").tobytes()
-    buf += np.ascontiguousarray(params.norm.std, dtype="<f8").tobytes()
-    buf += struct.pack("<Q", int(state.t))
+    header = b"".join([
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<8I", *params.arch.as_tuple()),
+        np.ascontiguousarray(params.norm.mean, dtype="<f8").tobytes(),
+        np.ascontiguousarray(params.norm.std, dtype="<f8").tobytes(),
+        struct.pack("<Q", int(state.t)),
+    ])
     entries = (
         [(n, a) for n, a in params.items()]
         + [(f"m.{n}", state.m[n]) for n in PARAM_NAMES]
         + [(f"v.{n}", state.v[n]) for n in PARAM_NAMES]
     )
-    buf += struct.pack("<I", len(entries))
+    chunks = [header + struct.pack("<I", len(entries))]
     for name, arr in entries:
-        buf += _pack_array(name, arr)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        chunks += [_array_header(name, data), data.data]
+    crc = 0
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedFile("checkpoint ends mid-record")
         out = self.data[self.pos : self.pos + n]
@@ -571,7 +601,8 @@ def load_checkpoint(
     if len(data) < 12:
         raise TruncatedFile(f"{path}: header cut short")
 
-    r = _Reader(data[:-4])
+    payload = memoryview(data)[:-4]
+    r = _Reader(payload)
     r.take(4)
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
@@ -592,7 +623,7 @@ def load_checkpoint(
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = bytes(r.take(name_len)).decode()
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1
@@ -600,7 +631,7 @@ def load_checkpoint(
     if r.pos != len(r.data):
         raise TruncatedFile(f"{path}: trailing bytes after declared arrays")
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(payload) != stored_crc:
         raise ChecksumMismatch(f"{path}: checkpoint payload corrupted")
 
     expected = param_shapes(arch)

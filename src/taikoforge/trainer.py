@@ -95,26 +95,21 @@ class TrainResult:
 
 def _run_epoch(params, state, dataset, indices, batch_size, lr, rng) -> float:
     order = rng.permutation(len(indices))
-    losses = np.empty(len(indices))
-    pos = 0
+    total = 0.0
     for start in range(0, len(order), batch_size):
         batch = indices[order[start : start + batch_size]]
-        grad_sum = None
-        for idx in batch:
-            probs, cache = forward(
-                params, dataset.windows[idx], dataset.contexts[idx], training=True, rng=rng
-            )
-            losses[pos] = loss(probs, dataset.targets[idx])
-            pos += 1
-            grads = backward(params, cache, dataset.targets[idx])
-            if grad_sum is None:
-                grad_sum = grads
-            else:
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
-        averaged = {name: g / len(batch) for name, g in grad_sum.items()}
-        adam_step(params, averaged, state, lr)
-    return float(losses.mean())
+        targets = dataset.targets[batch]
+        probs, cache = forward(
+            params, dataset.windows[batch], dataset.contexts[batch], training=True, rng=rng
+        )
+        total += loss(probs, targets) * len(batch)
+        adam_step(params, backward(params, cache, targets), state, lr)
+    return total / len(indices)
+
+
+#: Validation examples per forward call: large enough to amortize the
+#: per-call cost, small enough to keep the im2col buffers to a few MB.
+EVAL_CHUNK = 16
 
 
 def evaluate_loss(params: ModelParams, dataset: Dataset, indices: np.ndarray) -> float:
@@ -122,9 +117,10 @@ def evaluate_loss(params: ModelParams, dataset: Dataset, indices: np.ndarray) ->
     if len(indices) == 0:
         return float("nan")
     total = 0.0
-    for idx in indices:
-        probs, _ = forward(params, dataset.windows[idx], dataset.contexts[idx], training=False)
-        total += loss(probs, dataset.targets[idx])
+    for start in range(0, len(indices), EVAL_CHUNK):
+        chunk = indices[start : start + EVAL_CHUNK]
+        probs, _ = forward(params, dataset.windows[chunk], dataset.contexts[chunk], training=False)
+        total += loss(probs, dataset.targets[chunk]) * len(chunk)
     return total / len(indices)
 
 

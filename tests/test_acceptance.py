@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. The long pole is the overfit smoke (criterion 5, ~2 minutes of CPU
+lines. The long pole is the overfit smoke (criterion 5, ~40 s of CPU
 training); everything else finishes in seconds.
 """
 
@@ -109,11 +109,11 @@ def test_criterion_04_gradient_check():
     started = time.perf_counter()
     params = gradcheck_params()
     rng_data = np.random.default_rng(41)
-    window = rng_data.normal(0.0, 1.0, size=(MINI.frames, MINI.bands))
+    window = rng_data.normal(0.0, 1.0, size=(1, MINI.frames, MINI.bands))
     from taikoforge.chart import one_hot_rows
 
-    ctx = one_hot_rows(rng_data.integers(0, MINI.classes, size=MINI.context)).astype(np.float64)
-    targets = one_hot_rows(rng_data.integers(0, MINI.classes, size=MINI.horizon)).astype(np.float64)
+    ctx = one_hot_rows(rng_data.integers(0, MINI.classes, size=(1, MINI.context))).astype(np.float64)
+    targets = one_hot_rows(rng_data.integers(0, MINI.classes, size=(1, MINI.horizon))).astype(np.float64)
 
     _, cache = forward(params, window, ctx)
     assert kink_margin(cache, training=False) > 1e-3

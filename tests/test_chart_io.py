@@ -248,7 +248,7 @@ class TestParseSm:
         with pytest.raises(MultiBpmUnsupported):
             parse_sm(text)
 
-    @pytest.mark.parametrize("bpm", ["0.000", "-120.000", "nan", "inf"])
+    @pytest.mark.parametrize("bpm", ["0.000", "-120.000", "nan", "inf", "1e-310"])
     def test_bad_bpm_rejected(self, bpm):
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("0.000=120.000", f"0.000={bpm}"))

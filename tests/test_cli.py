@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taikoforge import cli
-from taikoforge.chart import HIT_CLASSES, FRAME_MS
+from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
 
@@ -185,6 +185,41 @@ class TestEvaluate:
         )
         code = run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir, "--seed", 1])
         assert code == 0
+
+    def test_whole_song_scored_not_common_prefix(self, tmp_path):
+        # a human chart against a copy emptied after frame 100: each of the
+        # ~225 human notes in the empty tail is a missed frame (the common
+        # prefix alone scores 100%)
+        model_dir, human_dir = self.make_dirs(tmp_path)
+        human = periodic_chart(1000, period=4)
+        cut = human.frames.copy()
+        cut[100:] = 0
+        (human_dir / "s0.osu").write_text(write_osu(human, 140.0, "s0.wav"))
+        (model_dir / "s0.osu").write_text(write_osu(NoteFrameSequence(cut), 140.0, "s0.wav"))
+        csv_path = tmp_path / "out.csv"
+        assert run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir, "--csv", csv_path]) == 0
+        rows = [r.split(",") for r in csv_path.read_text().strip().splitlines()[1:]]
+        values = {(r[0], r[1]): float(r[2]) for r in rows}
+        assert values[("s0", "dc_human")] < 80.0
+        assert values[("s0", "oc_human")] < 80.0
+
+    def test_empty_model_chart_is_scored(self, tmp_path):
+        model_dir, human_dir = self.make_dirs(tmp_path)
+        (model_dir / "s0.osu").write_text(write_osu(NoteFrameSequence(np.zeros(50, np.uint8)), 140.0, "s0.wav"))
+        csv_path = tmp_path / "out.csv"
+        assert run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir, "--csv", csv_path]) == 0
+        values = {tuple(r.split(",")[:2]): float(r.split(",")[2]) for r in csv_path.read_text().strip().splitlines()[1:]}
+        # an empty chart agrees with the human one exactly on its empty frames
+        assert values[("s0", "dc_human")] == values[("s0", "oc_human")] < 100.0
+
+    def test_two_empty_charts_exit_2_naming_the_pair(self, tmp_path, capsys):
+        model_dir, human_dir = self.make_dirs(tmp_path)
+        empty = write_osu(NoteFrameSequence(np.zeros(50, np.uint8)), 140.0, "s1.wav")
+        (model_dir / "s1.osu").write_text(empty)
+        (human_dir / "s1.osu").write_text(empty)
+        assert run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir]) == 2
+        err = capsys.readouterr().err
+        assert "s1" in err and "empty" in err and "Traceback" not in err
 
     def test_unpaired_songs_listed(self, tmp_path, capsys):
         model_dir, human_dir = self.make_dirs(tmp_path)

@@ -98,7 +98,8 @@ class TestGenerateNotes:
         real_forward = generator.forward
 
         def spy(params_, window, context, **kwargs):
-            captured.append(np.array(context, copy=True))
+            assert len(window) == len(context) == 1
+            captured.append(np.array(context[0], copy=True))
             return real_forward(params_, window, context, **kwargs)
 
         monkeypatch.setattr(generator, "forward", spy)

@@ -15,7 +15,6 @@ from taikoforge.neural import (
     ArchConfig,
     ModelParams,
     _conv2d,
-    _dropout_mask,
     _maxpool2,
     adam_step,
     backward,
@@ -33,10 +32,11 @@ MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_featu
 
 
 def mini_example(seed=0):
+    """One example as a batch of one: window (1, 4, 4), context (1, 3, 7), targets (1, 4, 7)."""
     rng = np.random.default_rng(seed)
-    window = rng.normal(0.0, 1.0, size=(MINI.frames, MINI.bands))
-    ctx = one_hot_rows(rng.integers(0, MINI.classes, size=MINI.context)).astype(np.float64)
-    targets = one_hot_rows(rng.integers(0, MINI.classes, size=MINI.horizon)).astype(np.float64)
+    window = rng.normal(0.0, 1.0, size=(1, MINI.frames, MINI.bands))
+    ctx = one_hot_rows(rng.integers(0, MINI.classes, size=(1, MINI.context))).astype(np.float64)
+    targets = one_hot_rows(rng.integers(0, MINI.classes, size=(1, MINI.horizon))).astype(np.float64)
     return window, ctx, targets
 
 
@@ -72,15 +72,15 @@ class TestForward:
         params = init_params(MINI, seed=2)
         window, ctx, _ = mini_example(3)
         probs, _ = forward(params, window, ctx)
-        assert probs.shape == (4, 7)
+        assert probs.shape == (1, 4, 7)
         assert (probs >= 0).all()
-        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-5
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-5
 
     def test_zero_params_give_uniform_rows(self):
         params = init_params(MINI, seed=0)
         for _, arr in params.items():
             arr[...] = 0.0
-        probs, _ = forward(params, np.zeros((4, 4)), np.zeros((3, 7)))
+        probs, _ = forward(params, np.zeros((1, 4, 4)), np.zeros((1, 3, 7)))
         assert np.allclose(probs, 1.0 / 7.0)
 
     def test_deterministic_in_inference_mode(self):
@@ -93,14 +93,18 @@ class TestForward:
     def test_shape_mismatch(self):
         params = init_params(MINI, seed=4)
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros((5, 4)), np.zeros((3, 7)))
+            forward(params, np.zeros((1, 5, 4)), np.zeros((1, 3, 7)))
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros((4, 4)), np.zeros((4, 7)))
+            forward(params, np.zeros((1, 4, 4)), np.zeros((1, 4, 7)))
+        with pytest.raises(ShapeMismatch):
+            forward(params, np.zeros((2, 4, 4)), np.zeros((3, 3, 7)))
+        with pytest.raises(ShapeMismatch):
+            forward(params, np.zeros((4, 4)), np.zeros((3, 7)))
 
     def test_training_requires_rng(self):
         params = init_params(MINI, seed=4)
         with pytest.raises(ValueError):
-            forward(params, np.zeros((4, 4)), np.zeros((3, 7)), training=True)
+            forward(params, np.zeros((1, 4, 4)), np.zeros((1, 3, 7)), training=True)
 
     def test_fusion_pads_with_bias_channel(self):
         ctx = one_hot_rows(np.array([0, 2, 6]))
@@ -144,29 +148,38 @@ class TestLoss:
 class TestLayers:
     def test_maxpool_matches_manual_blocks(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 6, 3))
+        x = rng.normal(size=(2, 4, 6, 3))
         out, _ = _maxpool2(x)
-        for i in range(2):
-            for j in range(3):
-                for c in range(3):
-                    assert out[i, j, c] == x[2 * i : 2 * i + 2, 2 * j : 2 * j + 2, c].max()
+        for b in range(2):
+            for i in range(2):
+                for j in range(3):
+                    for c in range(3):
+                        assert out[b, i, j, c] == x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, c].max()
 
     def test_conv_center_identity_kernel(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, 6, 2))
+        x = rng.normal(size=(3, 4, 6, 2))
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        y, _ = _conv2d(x, w, np.zeros(2))
+        y = _conv2d(x, w, np.zeros(2))
         assert np.allclose(y, x)
 
     def test_dropout_rate_and_scaling(self):
-        rng = np.random.default_rng(8)
-        mask = _dropout_mask((200, 500), rng, np.float64)
-        zero_fraction = float((mask == 0).mean())
-        assert abs(zero_fraction - 0.8) < 0.01
-        survivors = mask[mask != 0]
-        assert np.allclose(survivors, 5.0)
+        # conv1 outputs 1 everywhere, so each pooled value is 5 (a kept
+        # input scaled by 1/(1-0.8)) or 0 (all four inputs dropped)
+        params = init_params(MINI, seed=8, dtype=np.float64)
+        params["conv1_w"][...] = 0.0
+        params["conv1_b"][...] = 1.0
+        n = 400
+        _, cache = forward(
+            params, np.zeros((n, 4, 4)), np.zeros((n, 3, 7)), training=True, rng=np.random.default_rng(8)
+        )
+        for key in ("mask1", "mask2"):
+            assert abs(1.0 - float(cache[key].mean()) - 0.8) < 0.01
+        pooled = cache["p1"]
+        assert np.allclose(np.unique(pooled), [0.0, 5.0])
+        assert abs(float((pooled == 0).mean()) - 0.8 ** 4) < 0.02
 
     def test_dropout_identity_in_inference(self):
         params = init_params(MINI, seed=9)
@@ -212,6 +225,7 @@ def kink_margin(cache, training) -> float:
 
 
 def numeric_grads(params, window, ctx, targets, training, drop_seed, h=FD_STEP):
+    """Central differences of the batch-mean loss for every parameter."""
     def objective():
         rng = np.random.default_rng(drop_seed) if training else None
         probs, _ = forward(params, window, ctx, training=training, rng=rng)
@@ -238,9 +252,9 @@ def numeric_grads(params, window, ctx, targets, training, drop_seed, h=FD_STEP):
 def test_gradient_check_every_parameter_group(training):
     params = gradcheck_params()
     rng_data = np.random.default_rng(GRADCHECK_DATA_SEED)
-    window = rng_data.normal(0.0, 1.0, size=(MINI.frames, MINI.bands))
-    ctx = one_hot_rows(rng_data.integers(0, MINI.classes, size=MINI.context)).astype(np.float64)
-    targets = one_hot_rows(rng_data.integers(0, MINI.classes, size=MINI.horizon)).astype(np.float64)
+    window = rng_data.normal(0.0, 1.0, size=(1, MINI.frames, MINI.bands))
+    ctx = one_hot_rows(rng_data.integers(0, MINI.classes, size=(1, MINI.context))).astype(np.float64)
+    targets = one_hot_rows(rng_data.integers(0, MINI.classes, size=(1, MINI.horizon))).astype(np.float64)
 
     rng = np.random.default_rng(GRADCHECK_DROP_SEED) if training else None
     _, cache = forward(params, window, ctx, training=training, rng=rng)
@@ -276,6 +290,62 @@ def test_gradients_deterministic_under_fixed_dropout_seed():
         outs.append(backward(params, cache, targets))
     for name in outs[0]:
         assert np.array_equal(outs[0][name], outs[1][name])
+
+
+BATCH_TOLERANCES = {
+    # dtype: (probability tolerance, gradient tolerance, probability error is relative)
+    np.float64: (1e-12, 1e-12, True),
+    np.float32: (1e-6, 1e-5, False),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("training", [False, True])
+def test_batch_matches_sequential_single_calls(dtype, training):
+    """One B=16 call against 16 calls of one example each: probabilities,
+    the mean of the single gradients, and the dropout rng stream."""
+    prob_tol, grad_tol, relative = BATCH_TOLERANCES[dtype]
+    params = init_params(DEFAULT_ARCH, seed=23, dtype=dtype)
+    rng_data = np.random.default_rng(24)
+    for name, arr in params.items():
+        if name.endswith("_b"):
+            arr += rng_data.uniform(-0.1, 0.1, size=arr.shape).astype(dtype)
+    n = 16
+    windows = rng_data.normal(size=(n, DEFAULT_ARCH.frames, DEFAULT_ARCH.bands))
+    contexts = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.context)))
+    targets = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.horizon)))
+
+    rng_batch = np.random.default_rng(25) if training else None
+    probs, cache = forward(params, windows, contexts, training=training, rng=rng_batch)
+    grads = backward(params, cache, targets)
+
+    rng_single = np.random.default_rng(25) if training else None
+    single_probs, grad_sum = [], None
+    for k in range(n):
+        p, c = forward(params, windows[k : k + 1], contexts[k : k + 1], training=training, rng=rng_single)
+        g = backward(params, c, targets[k : k + 1])
+        single_probs.append(p[0])
+        grad_sum = g if grad_sum is None else {name: grad_sum[name] + g[name] for name in g}
+
+    prob_err = np.abs(probs - np.stack(single_probs))
+    if relative:
+        prob_err = prob_err / np.stack(single_probs)
+    assert prob_err.max() <= prob_tol
+    for name, g in grads.items():
+        want = grad_sum[name] / n
+        err = np.abs(g - want).max() / np.abs(want).max()
+        assert err <= grad_tol, f"{name}: {err:.2e}"
+    if training:
+        assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+
+
+def test_loss_is_batch_mean_of_single_losses():
+    params = init_params(MINI, seed=26)
+    examples = [mini_example(27 + k) for k in range(5)]
+    windows, ctxs, targets = (np.concatenate(parts) for parts in zip(*examples))
+    probs, _ = forward(params, windows, ctxs)
+    singles = [loss(forward(params, w, c)[0], t) for w, c, t in examples]
+    assert loss(probs, targets) == pytest.approx(np.mean(singles), rel=1e-6)
 
 
 class TestAdam:
