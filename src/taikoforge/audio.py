@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chart import FRAME_MS
+from .chart import FRAME_MS, MAX_SONG_MS
 from .errors import CorruptFile, EmptyCorpus, UnsupportedCodec
 
 SAMPLE_RATE = 44100
@@ -98,10 +98,12 @@ def decode_audio(path: str | Path) -> tuple[np.ndarray, int]:
         samples = samples[: len(samples) - len(samples) % 2].reshape(-1, 2).mean(axis=1)
     samples = np.clip(samples, -1.0, 1.0)
 
+    if rate == 0:
+        raise CorruptFile(f"{path}: zero sample rate")
+    n_out = int(round(len(samples) * SAMPLE_RATE / rate))
+    if n_out > MAX_SONG_MS * SAMPLE_RATE // 1000:
+        raise CorruptFile(f"{path}: {len(samples)} samples at {rate} Hz exceed the {MAX_SONG_MS}ms limit")
     if rate != SAMPLE_RATE:
-        if rate == 0:
-            raise CorruptFile(f"{path}: zero sample rate")
-        n_out = int(round(len(samples) * SAMPLE_RATE / rate))
         positions = np.arange(n_out) * (rate / SAMPLE_RATE)
         samples = np.interp(positions, np.arange(len(samples)), samples)
     return samples, SAMPLE_RATE

@@ -15,6 +15,10 @@ import numpy as np
 #: Width of one time-grid frame in milliseconds.
 FRAME_MS = 23
 
+#: Longest song accepted, in milliseconds. Chart times, ``.sm`` chart spans
+#: and decoded audio beyond it are rejected before any array is sized by them.
+MAX_SONG_MS = 30 * 60 * 1000
+
 #: Number of note classes (no-note plus the six Taiko object types).
 NUM_CLASSES = 7
 

@@ -25,6 +25,7 @@ import numpy as np
 from .chart import (
     FRAME_MS,
     HIT_CLASSES,
+    MAX_SONG_MS,
     NoteClass,
     NoteFrameSequence,
     BinaryChart,
@@ -123,9 +124,9 @@ def _beat_length_at(timing: list[tuple[float, float]], t_ms: float) -> float:
 
 
 def _checked_time(t_ms: float, line: str) -> float:
-    """A time that becomes a frame: finite and non-negative."""
-    if not (math.isfinite(t_ms) and t_ms >= 0):
-        raise MalformedFile(f"time {t_ms}ms is not a finite, non-negative number: {line!r}")
+    """A time that becomes a frame: finite, non-negative and within MAX_SONG_MS."""
+    if not (math.isfinite(t_ms) and 0 <= t_ms <= MAX_SONG_MS):
+        raise MalformedFile(f"time {t_ms}ms is not a number from 0 to {MAX_SONG_MS}: {line!r}")
     return t_ms
 
 
@@ -412,6 +413,8 @@ def parse_sm(text: str, difficulty: str | None = None) -> BinaryChart:
     times = sm_row_times_ms(sm)
     beat_ms = 60000.0 / sm.bpm
     chart_end_ms = sm.offset_s * 1000.0 + len(sm.measures) * 4 * beat_ms
+    if chart_end_ms > MAX_SONG_MS:
+        raise MalformedFile(f".sm chart ends at {chart_end_ms:.0f}ms, after the {MAX_SONG_MS}ms limit")
     n_frames = ms_to_frame(max(chart_end_ms, 0.0)) + 1 if sm.measures else 0
 
     bits = np.zeros(n_frames, dtype=np.uint8)

@@ -1,12 +1,23 @@
-"""Chart generation: sliding-window inference with note feedback.
+"""Chart generation: wavefront inference with note feedback.
 
 A window starting at frame i reads feature frames i..i+15 and the already
 finalized notes i..i+14, then contributes predictions for frames i+15
 through i+18. Every frame therefore collects up to four 7-way predictions
-from overlapping windows; once the last contributor has run, the vectors
-are summed, normalized, and sampled (or argmax'd in greedy mode). Frames
-0..14 precede the first window: they stay empty in the output and appear
-to later windows as all-zero placeholder rows rather than no-note one-hots.
+from overlapping windows; once the last contributor has run, their sum is
+normalized and sampled (or argmax'd in greedy mode). Frames 0..14 precede
+the first window: they stay empty in the output and appear to later
+windows as placeholder rows with no class set.
+
+The audio trunk does not depend on notes, so it runs once per window,
+batched, before the recurrence. The LSTMs then run as a wavefront across
+windows: step t of window j reads note j+t, so the frame just sampled is
+what the 15 in-flight windows f-14..f all wait for. At frame f, slot k of
+one batched step per layer holds window f-k at its step k; window f-14
+then runs its final all-ones step and the output head, its quad goes into
+a running sum, and frame f+1 is sampled. This is the wavefront schedule of
+Appleyard et al. 2016 (arXiv:1604.01946), run across windows instead of
+across layers. Each window sees the same inputs and runs the same layer
+operations as one :func:`~taikoforge.neural.forward` call would.
 """
 
 from __future__ import annotations
@@ -14,10 +25,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import song_features
 from .chart import HIT_CLASSES, NUM_CLASSES, NoteClass, NoteFrameSequence
-from .neural import ModelParams, forward
+from .errors import ShapeMismatch
+from .neural import ModelParams, _gate_scale, _head, _lstm_step, trunk
+# not called here; kept importable because the benchmark's tracing wraps it by name
+from .neural import forward
+
+#: Windows per trunk call: larger chunks were slower and raised peak memory.
+TRUNK_CHUNK = 16
 
 
 def aggregate_distribution(predictions) -> np.ndarray:
@@ -46,34 +64,56 @@ def generate_notes(
     Deterministic for a given (params, features, seed). Songs shorter than
     one window come back all empty.
     """
-    window = params.arch.frames
-    lead_in = window - 1
+    arch = params.arch
+    lead_in = arch.context
     features = np.atleast_2d(np.asarray(features, dtype=np.float32))
     n = features.shape[0]
+    if features.shape[1] != arch.bands:
+        raise ShapeMismatch(f"features must have {arch.bands} bands, got {features.shape[1]}")
     notes = np.zeros(n, dtype=np.uint8)
-    if n < window:
+    if n < arch.frames:
         return NoteFrameSequence(notes)
 
+    # window j's segments sit at row j + lead_in - 1, between lead_in - 1
+    # zero rows on each side for the slots of windows outside the song
+    windows = sliding_window_view(features, arch.frames, axis=0).transpose(0, 2, 1)
+    segs = np.zeros((n + lead_in - 2, arch.frames, arch.seg_features), dtype=params.dtype)
+    for start in range(0, len(windows), TRUNK_CHUNK):
+        seg, _ = trunk(params, windows[start : start + TRUNK_CHUNK])
+        row = start + lead_in - 1
+        segs[row : row + len(seg)] = seg
+
+    # note rows: the class one-hot (none set for placeholders) and the constant 1
+    note_rows = np.zeros((n, arch.seg_features), dtype=params.dtype)
+    note_rows[:, arch.classes] = 1.0
+    wx1, wh1, b1 = params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"]
+    wx2, wh2, b2 = params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"]
+    s = _gate_scale(arch.hidden, params.dtype)
+    # row k is the state of slot k; the extra last row receives the state
+    # of the window that leaves the wavefront, and row 0 stays zero
+    h1, c1, h2, c2 = (np.zeros((lead_in + 1, arch.hidden), dtype=params.dtype) for _ in range(4))
+    slots = np.arange(lead_in)
+    sums = np.zeros((n + arch.horizon, NUM_CLASSES))
     rng = np.random.default_rng(seed)
-    context = np.zeros((n, NUM_CLASSES), dtype=np.float32)
-    pending: list[list[np.ndarray]] = [[] for _ in range(n)]
 
-    for i in range(n - lead_in):
-        quads, _ = forward(params, features[None, i : i + window], context[None, i : i + lead_in])
-        quad = quads[0]
-        for k in range(quad.shape[0]):
-            t = i + lead_in + k
-            if t < n:
-                pending[t].append(quad[k])
+    for f in range(n - 1):
+        fused = segs[f + lead_in - 1 - slots, slots] * note_rows[f]
+        _, h1[1:], c1[1:] = _lstm_step(fused @ wx1.T + b1, h1[:-1], c1[:-1], wh1, s)
+        _, h2[1:], c2[1:] = _lstm_step(h1[1:] @ wx2.T + b2, h2[:-1], c2[:-1], wh2, s)
+        if f < lead_in - 1:
+            continue
+        # window f - lead_in + 1 has read its last note row; its final step
+        # fuses with the all-ones row, so its segment passes unchanged
+        _, h, _ = _lstm_step(segs[f, -1:] @ wx1.T + b1, h1[-1:], c1[-1:], wh1, s)
+        _, h, _ = _lstm_step(h @ wx2.T + b2, h2[-1:], c2[-1:], wh2, s)
+        sums[f + 1 : f + 1 + arch.horizon] += _head(params, h)[0]
 
-        # frame i+15 has now heard from every window that will ever see it
-        # before window i+1 consumes it as context
-        t = i + lead_in
-        dist = aggregate_distribution(pending[t])
+        # frame f+1 has now heard from every window that will ever see it
+        t = f + 1
+        dist = aggregate_distribution(sums[t : t + 1])
         cls = int(dist.argmax()) if greedy else int(rng.choice(NUM_CLASSES, p=dist))
         notes[t] = cls
-        context[t, cls] = 1.0
-        pending[t] = []
+        note_rows[t, cls] = 1.0
 
     return NoteFrameSequence(notes)
 

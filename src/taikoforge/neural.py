@@ -2,9 +2,9 @@
 
 No ML runtime; everything is numpy. Every layer takes a leading batch
 axis, so one :func:`forward` / :func:`backward` call runs a whole batch
-(training minibatches, validation chunks, and generation's single
-window alike). float32 by default, float64 available for
-finite-difference gradient verification.
+(training minibatches and validation chunks alike), and generation runs
+the same layers on batches of its own. float32 by default, float64
+available for finite-difference gradient verification.
 
 Layout conventions, fixed across forward/backward/checkpoints:
 
@@ -22,6 +22,22 @@ fc(2560->128) -> reshape to 16 segments x 8 features -> element-wise fuse
 with the 15 note one-hots (right-padded with a constant 1; the masked
 final segment uses all ones) -> LSTM(64) -> dropout(0.8) -> LSTM(64) ->
 fc(64->28) -> four independent 7-way softmax rows.
+
+:func:`forward` is built from pieces that generation calls one by one:
+
+* :func:`trunk` runs everything before the note fusion (conv1 through fc1
+  and its ReLU) and returns the 16 segments per window. It reads no notes,
+  so generation runs it once per window, in batches, before sampling.
+* :func:`_lstm_step` is one recurrent step for a batch of rows, given the
+  step's input projection. :func:`_lstm_forward` loops it over a window's
+  16 steps; generation runs it across windows, one step of each.
+* :func:`_head` maps the last LSTM output to the four softmax rows.
+
+The 2x2 max pool is the element-wise max of four strided views and keeps
+no argmax. Its backward pass rebuilds the pool's input from cached
+activations (conv1's output and dropout mask, conv2's output) and sends
+each gradient to the first of the four inputs, in (row, column) order,
+that equals the pooled max.
 """
 
 from __future__ import annotations
@@ -37,6 +53,7 @@ from .audio import NormStats
 from .errors import (
     BadMagic,
     ChecksumMismatch,
+    CorruptFile,
     NonFiniteActivation,
     NonFiniteGradient,
     ShapeMismatch,
@@ -250,19 +267,27 @@ def _conv2d_input_grad(w, dy):
 
 
 def _maxpool2(x):
-    """2x2 max pool of a (B, H, W, C) batch. Also returns, as uint8, which
-    of the four inputs each output took; ties resolve to the first."""
-    n, hh, ww, c = x.shape
-    xr = x.reshape(n, hh // 2, 2, ww // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(
-        n, hh // 2, ww // 2, c, 4
+    """2x2 max pool of a (B, H, W, C) batch: the max of its four strided views."""
+    return np.maximum(
+        np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+        np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]),
     )
-    return xr.max(axis=-1), xr.argmax(axis=-1).astype(np.uint8)
 
 
-def _maxpool2_backward(idx, dy):
-    n, h2, w2, c = idx.shape
-    dxr = np.where(idx[..., None] == np.arange(4, dtype=np.uint8), dy[..., None], 0)
-    return dxr.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * h2, 2 * w2, c)
+def _maxpool2_backward(x, y, dy):
+    """Input gradient of :func:`_maxpool2` for its input x and output y.
+
+    Each output's gradient goes to the first of its four inputs, in
+    (row, column) order, that equals the pooled max.
+    """
+    dx = np.zeros_like(dy, shape=x.shape)
+    free = np.ones(y.shape, dtype=bool)
+    for i in (0, 1):
+        for j in (0, 1):
+            hit = free & (x[:, i::2, j::2] == y)
+            dx[:, i::2, j::2] = np.where(hit, dy, 0)
+            free &= ~hit
+    return dx
 
 
 def _gate_scale(hidden: int, dtype) -> np.ndarray:
@@ -274,6 +299,19 @@ def _gate_scale(hidden: int, dtype) -> np.ndarray:
     return s
 
 
+def _lstm_step(zx, h, c, wh, s):
+    """One LSTM step for a batch: zx is the step's input projection
+    ``x @ wx.T + b``, (h, c) the previous state. Returns the packed gate
+    values and the new (h, c)."""
+    a = np.tanh((zx + h @ wh.T) * s)
+    a *= s
+    a += 1.0 - s
+    hidden = wh.shape[1]
+    i, f, g, o = a[:, :hidden], a[:, hidden : 2 * hidden], a[:, 2 * hidden : 3 * hidden], a[:, 3 * hidden :]
+    c = f * c + i * g
+    return a, o * np.maximum(c, 0.0), c
+
+
 def _lstm_forward(wx, wh, b, xs):
     """Run one LSTM layer over a (B, T, in) batch; returns (B, T, hidden) outputs.
 
@@ -283,7 +321,6 @@ def _lstm_forward(wx, wh, b, xs):
     n, t_steps, _ = xs.shape
     h = wh.shape[1]
     s = _gate_scale(h, xs.dtype)
-    shift = 1.0 - s
     zx = xs @ wx.T + b
     gates = np.empty_like(zx)
     hs = np.empty((n, t_steps, h), dtype=xs.dtype)
@@ -291,13 +328,7 @@ def _lstm_forward(wx, wh, b, xs):
     h_t = np.zeros((n, h), dtype=xs.dtype)
     c_t = np.zeros((n, h), dtype=xs.dtype)
     for t in range(t_steps):
-        a = np.tanh((zx[:, t] + h_t @ wh.T) * s)
-        a *= s
-        a += shift
-        i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
-        c_t = f * c_t + i * g
-        h_t = o * np.maximum(c_t, 0.0)
-        gates[:, t] = a
+        gates[:, t], h_t, c_t = _lstm_step(zx[:, t], h_t, c_t, wh, s)
         cs[:, t] = c_t
         hs[:, t] = h_t
     return hs, (wx, wh, xs, hs, cs, gates)
@@ -351,6 +382,52 @@ def pad_note_vectors(note_context: np.ndarray, arch: ArchConfig, dtype) -> np.nd
     return out
 
 
+def _keep_scale(dtype) -> np.ndarray:
+    """Inverted-dropout scale applied to the kept activations."""
+    return np.asarray(1.0 / (1.0 - DROPOUT_P), dtype=dtype)
+
+
+def _conv1_activation(a1, mask1):
+    """ReLU of conv1, then its dropout when a keep mask is given: the input
+    of the first pool, which the backward pass rebuilds from a1 and mask1."""
+    d1 = np.maximum(a1, 0.0)
+    if mask1 is not None:
+        d1 *= mask1
+        d1 *= _keep_scale(d1.dtype)
+    return d1
+
+
+def trunk(params: ModelParams, windows: np.ndarray, mask1: np.ndarray | None = None):
+    """The audio trunk: conv1 -> ReLU -> dropout -> pool -> conv2 -> ReLU ->
+    pool -> fc1 -> ReLU. It reads no notes.
+
+    ``windows`` is (B, frames, bands); ``mask1`` holds conv1's dropout keep
+    flags, or None for inference. Returns the (B, frames, seg_features)
+    segments that the LSTM fuses with the note rows, and the activations
+    :func:`backward` needs.
+    """
+    arch = params.arch
+    x = np.asarray(windows, dtype=params.dtype)[..., None]
+    n = x.shape[0]
+    a1 = _conv2d(x, params["conv1_w"], params["conv1_b"])
+    p1 = _maxpool2(_conv1_activation(a1, mask1))
+    a2 = _conv2d(p1, params["conv2_w"], params["conv2_b"])
+    flat = _maxpool2(np.maximum(a2, 0.0)).reshape(n, -1)
+    a3 = flat @ params["fc1_w"] + params["fc1_b"]
+    seg = np.maximum(a3, 0.0).reshape(n, arch.frames, arch.seg_features)
+    return seg, {"x": x, "a1": a1, "mask1": mask1, "p1": p1, "a2": a2, "flat": flat, "a3": a3}
+
+
+def _head(params: ModelParams, h_last: np.ndarray) -> np.ndarray:
+    """Output layer: the (B, hidden) last LSTM outputs to (B, 4, 7) quads."""
+    arch = params.arch
+    logits = h_last @ params["out_w"] + params["out_b"]
+    probs = softmax_rows(logits.reshape(-1, arch.horizon, arch.classes))
+    if not np.isfinite(probs).all():
+        raise NonFiniteActivation("forward pass produced non-finite probabilities")
+    return probs
+
+
 def forward(
     params: ModelParams,
     windows: np.ndarray,
@@ -388,41 +465,16 @@ def forward(
         keep = rng.random((n, size1 + arch.frames * arch.hidden)) >= DROPOUT_P
         mask1 = keep[:, :size1].reshape(n, arch.frames, arch.bands, arch.conv1_filters)
         mask2 = keep[:, size1:].reshape(n, arch.frames, arch.hidden)
-    scale = np.asarray(1.0 / (1.0 - DROPOUT_P), dtype=dtype)
 
-    x = windows[..., None]
-    a1 = _conv2d(x, params["conv1_w"], params["conv1_b"])
-    d1 = np.maximum(a1, 0.0)
-    if training:
-        d1 *= mask1
-        d1 *= scale
-    p1, pool1 = _maxpool2(d1)
-    del d1
-
-    a2 = _conv2d(p1, params["conv2_w"], params["conv2_b"])
-    p2, pool2 = _maxpool2(np.maximum(a2, 0.0))
-
-    flat = p2.reshape(n, -1)
-    a3 = flat @ params["fc1_w"] + params["fc1_b"]
+    seg, cache = trunk(params, windows, mask1)
     notes8 = pad_note_vectors(contexts, arch, dtype)
-    fused = np.maximum(a3, 0.0).reshape(n, arch.frames, arch.seg_features) * notes8
-
-    hs1, lstm1 = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], fused)
-    hd = hs1 * mask2 * scale if training else hs1
+    hs1, lstm1 = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], seg * notes8)
+    hd = hs1 * mask2 * _keep_scale(dtype) if training else hs1
     hs2, lstm2 = _lstm_forward(params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"], hd)
-
     h_last = hs2[:, -1]
-    logits = h_last @ params["out_w"] + params["out_b"]
-    probs = softmax_rows(logits.reshape(n, arch.horizon, arch.classes))
-    if not np.isfinite(probs).all():
-        raise NonFiniteActivation("forward pass produced non-finite probabilities")
+    probs = _head(params, h_last)
 
-    cache = {
-        "x": x, "a1": a1, "mask1": mask1, "pool1": pool1, "p1": p1,
-        "a2": a2, "pool2": pool2, "flat": flat, "a3": a3, "notes8": notes8,
-        "lstm1": lstm1, "mask2": mask2, "lstm2": lstm2,
-        "h_last": h_last, "probs": probs, "scale": scale,
-    }
+    cache.update(notes8=notes8, lstm1=lstm1, mask2=mask2, lstm2=lstm2, h_last=h_last, probs=probs)
     return probs, cache
 
 
@@ -449,6 +501,7 @@ def backward(params: ModelParams, cache: dict, targets: np.ndarray) -> dict[str,
     dtype = params.dtype
     probs = cache["probs"]
     n = probs.shape[0]
+    scale = _keep_scale(dtype)
     targets = np.asarray(targets, dtype=dtype)
     if targets.shape != probs.shape:
         raise ShapeMismatch(f"targets must be {probs.shape}, got {targets.shape}")
@@ -465,24 +518,27 @@ def backward(params: ModelParams, cache: dict, targets: np.ndarray) -> dict[str,
     dhd, grads["lstm2_wx"], grads["lstm2_wh"], grads["lstm2_b"] = _lstm_backward(cache["lstm2"], dh_ext2)
     if cache["mask2"] is not None:
         dhd *= cache["mask2"]
-        dhd *= cache["scale"]
+        dhd *= scale
     dfused, grads["lstm1_wx"], grads["lstm1_wh"], grads["lstm1_b"] = _lstm_backward(cache["lstm1"], dhd)
 
     da3 = (dfused * cache["notes8"]).reshape(n, -1) * (cache["a3"] > 0)
     grads["fc1_w"] = cache["flat"].T @ da3
     grads["fc1_b"] = da3.sum(axis=0)
-    dp2 = (da3 @ params["fc1_w"].T).reshape(cache["pool2"].shape)
+    a2, p1 = cache["a2"], cache["p1"]
+    p2 = cache["flat"].reshape(n, arch.frames // 4, arch.bands // 4, arch.conv2_filters)
+    dp2 = (da3 @ params["fc1_w"].T).reshape(p2.shape)
 
-    da2 = _maxpool2_backward(cache["pool2"], dp2)
-    da2 *= cache["a2"] > 0
-    grads["conv2_w"], grads["conv2_b"] = _conv2d_backward(cache["p1"], params["conv2_w"], da2)
+    da2 = _maxpool2_backward(np.maximum(a2, 0.0), p2, dp2)
+    da2 *= a2 > 0
+    grads["conv2_w"], grads["conv2_b"] = _conv2d_backward(p1, params["conv2_w"], da2)
     dp1 = _conv2d_input_grad(params["conv2_w"], da2)
 
-    da1 = _maxpool2_backward(cache["pool1"], dp1)
-    if cache["mask1"] is not None:
-        da1 *= cache["mask1"]
-        da1 *= cache["scale"]
-    da1 *= cache["a1"] > 0
+    a1, mask1 = cache["a1"], cache["mask1"]
+    da1 = _maxpool2_backward(_conv1_activation(a1, mask1), p1, dp1)
+    if mask1 is not None:
+        da1 *= mask1
+        da1 *= scale
+    da1 *= a1 > 0
     grads["conv1_w"], grads["conv1_b"] = _conv2d_backward(cache["x"], params["conv1_w"], da1)
 
     for g in grads.values():
@@ -623,7 +679,10 @@ def load_checkpoint(
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = bytes(r.take(name_len)).decode()
+        try:
+            name = bytes(r.take(name_len)).decode()
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"{path}: array name is not UTF-8") from exc
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1

@@ -126,6 +126,13 @@ class TestDecode:
         samples, _ = decode_audio(path)
         assert samples.tolist() == [0.5, -0.5]
 
+    def test_resampled_length_past_longest_song_rejected(self, tmp_path):
+        # 2000 samples declared at 1 Hz would resample to 88.2 M samples
+        path = tmp_path / "slow.wav"
+        path.write_bytes(craft_wav(1, 16, 1, 1, b"\x00\x00" * 2000))
+        with pytest.raises(CorruptFile):
+            decode_audio(path)
+
     def test_8_bit_unsupported(self, tmp_path):
         path = tmp_path / "u.wav"
         path.write_bytes(craft_wav(1, 8, SAMPLE_RATE, 1, b"\x80\x80"))

@@ -141,6 +141,12 @@ class TestParseOsu:
         with pytest.raises(MalformedFile):
             parse_osu(osu_text([line]))
 
+    @pytest.mark.parametrize("line", ["256,192,1e12,1,0,0:0:0:0:", "256,192,100,12,0,1e12"])
+    def test_time_past_longest_song_rejected(self, line):
+        # checked before the frame arrays are sized (1e12 ms would be 43 G frames)
+        with pytest.raises(MalformedFile):
+            parse_osu(osu_text([line]))
+
     def test_non_finite_slider_length_rejected(self):
         with pytest.raises(MalformedFile):
             parse_osu(osu_text(["256,192,100,2,0,B|300:192,1,nan"]))
@@ -252,6 +258,11 @@ class TestParseSm:
     def test_bad_bpm_rejected(self, bpm):
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("0.000=120.000", f"0.000={bpm}"))
+
+    def test_tiny_bpm_past_longest_song_rejected(self):
+        # two measures at 1e-6 BPM span ~4.8e11 ms, ~10^10 frames
+        with pytest.raises(MalformedFile):
+            parse_sm(SM_BODY.replace("0.000=120.000", "0.000=1e-6"))
 
     @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
     def test_non_finite_offset_rejected(self, offset):

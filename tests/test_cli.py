@@ -5,6 +5,7 @@ from taikoforge import cli
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
+from taikoforge.neural import DEFAULT_ARCH, init_params, save_checkpoint
 
 from conftest import periodic_chart, write_wav_pcm16
 
@@ -149,6 +150,20 @@ class TestGenerate:
         assert code == 2
 
 
+    def test_non_utf8_array_name_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, init_params(DEFAULT_ARCH, seed=0))
+        data = bytearray(checkpoint.read_bytes())
+        data[data.index(b"conv1_w")] = 0xFF
+        checkpoint.write_bytes(bytes(data))
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "Traceback" not in err
+
+
 class TestEvaluate:
     def make_dirs(self, tmp_path, same=True):
         model_dir = tmp_path / "model"
@@ -250,6 +265,14 @@ class TestStats:
         charts_dir, _ = tiny_corpus
         path = charts_dir / "song_a.osu"
         path.write_text(path.read_text() + "256,192,nan,1,0,0:0:0:0:\n")
+        assert run(["stats", "--charts", charts_dir]) == 2
+        err = capsys.readouterr().err
+        assert "song_a.osu" in err and "Traceback" not in err
+
+    def test_time_past_longest_song_exits_2(self, tiny_corpus, capsys):
+        charts_dir, _ = tiny_corpus
+        path = charts_dir / "song_a.osu"
+        path.write_text(path.read_text() + "256,192,1e12,1,0,0:0:0:0:\n")
         assert run(["stats", "--charts", charts_dir]) == 2
         err = capsys.readouterr().err
         assert "song_a.osu" in err and "Traceback" not in err

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from taikoforge.chart import HIT_CLASSES, NoteClass, NoteFrameSequence
-from taikoforge import generator
+from taikoforge.errors import ShapeMismatch
 from taikoforge.generator import aggregate_distribution, generate_notes, postprocess
-from taikoforge.neural import ArchConfig, init_params
+from taikoforge.neural import DEFAULT_ARCH, ArchConfig, forward, init_params
 
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
@@ -55,6 +55,47 @@ class TestAggregation:
         assert (dist >= 0).all()
 
 
+def reference_generate_notes(params, features, seed=0, greedy=False, contexts=None):
+    """The per-window loop that the wavefront replaces: one ``forward`` call
+    per window from a fresh LSTM state, each frame's predictions kept until
+    its last contributing window has run. Appends each window's context
+    rows to ``contexts`` when given."""
+    window = params.arch.frames
+    lead_in = window - 1
+    features = np.atleast_2d(np.asarray(features, dtype=np.float32))
+    n = features.shape[0]
+    notes = np.zeros(n, dtype=np.uint8)
+    if n < window:
+        return NoteFrameSequence(notes)
+    rng = np.random.default_rng(seed)
+    context = np.zeros((n, 7), dtype=np.float32)
+    pending = [[] for _ in range(n)]
+    for i in range(n - lead_in):
+        if contexts is not None:
+            contexts.append(context[i : i + lead_in].copy())
+        quads, _ = forward(params, features[None, i : i + window], context[None, i : i + lead_in])
+        for k, row in enumerate(quads[0]):
+            if i + lead_in + k < n:
+                pending[i + lead_in + k].append(row)
+        t = i + lead_in
+        dist = aggregate_distribution(pending[t])
+        cls = int(dist.argmax()) if greedy else int(rng.choice(7, p=dist))
+        notes[t] = cls
+        context[t, cls] = 1.0
+    return NoteFrameSequence(notes)
+
+
+def nudged_params(arch, seed):
+    """Random init with biases moved off zero, so that the generated charts
+    mix several classes."""
+    params = init_params(arch, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name, arr in params.items():
+        if name.endswith("_b"):
+            arr += rng.uniform(-0.3, 0.3, size=arr.shape).astype(arr.dtype)
+    return params
+
+
 class TestGenerateNotes:
     def test_deterministic_under_seed(self):
         params = mini_params(3)
@@ -91,22 +132,25 @@ class TestGenerateNotes:
         b = generate_notes(params, features, seed=2, greedy=True)
         assert a == b
 
-    def test_feedback_contexts_match_finalized_notes(self, monkeypatch):
+    @pytest.mark.parametrize("arch", [MINI, DEFAULT_ARCH], ids=["mini", "default"])
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    @pytest.mark.parametrize("n", [15, 16, 17, 19, 403])
+    def test_wavefront_matches_per_window_reference(self, arch, greedy, n):
+        params = nudged_params(arch, seed=n)
+        features = np.random.default_rng(n + 1).normal(size=(n, arch.bands))
+        expected = reference_generate_notes(params, features, seed=7, greedy=greedy)
+        assert generate_notes(params, features, seed=7, greedy=greedy) == expected
+
+    def test_feedback_contexts_match_finalized_notes(self):
         params = mini_params(12)
         features = np.random.default_rng(13).normal(size=(30, MINI.bands))
-        captured = []
-        real_forward = generator.forward
-
-        def spy(params_, window, context, **kwargs):
-            assert len(window) == len(context) == 1
-            captured.append(np.array(context[0], copy=True))
-            return real_forward(params_, window, context, **kwargs)
-
-        monkeypatch.setattr(generator, "forward", spy)
-        chart = generate_notes(params, features, seed=3)
+        contexts = []
+        chart = reference_generate_notes(params, features, seed=3, contexts=contexts)
+        assert chart == generate_notes(params, features, seed=3)
 
         lead = MINI.frames - 1
-        for i, ctx in enumerate(captured):
+        assert len(contexts) == len(features) - lead
+        for i, ctx in enumerate(contexts):
             for j in range(lead):
                 frame = i + j
                 if frame < lead:
@@ -114,6 +158,10 @@ class TestGenerateNotes:
                 else:
                     assert ctx[j, int(chart.frames[frame])] == 1.0
                     assert ctx[j].sum() == 1.0
+
+    def test_features_with_wrong_band_count_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            generate_notes(mini_params(), np.zeros((20, MINI.bands + 1)))
 
 
 class TestPostprocess:

@@ -12,10 +12,16 @@ from taikoforge.errors import (
 )
 from taikoforge.neural import (
     DEFAULT_ARCH,
+    DROPOUT_P,
     ArchConfig,
     ModelParams,
     _conv2d,
+    _conv2d_backward,
+    _conv2d_input_grad,
+    _lstm_backward,
+    _lstm_forward,
     _maxpool2,
+    _maxpool2_backward,
     adam_step,
     backward,
     forward,
@@ -25,6 +31,7 @@ from taikoforge.neural import (
     loss,
     pad_note_vectors,
     save_checkpoint,
+    softmax_rows,
 )
 
 # small enough that finite differences over every parameter stay cheap
@@ -145,11 +152,50 @@ class TestLoss:
         assert value == pytest.approx(-np.log(1e-9), rel=1e-6)
 
 
+def argmax_pool(x):
+    """Reference 2x2 pool: each block's four inputs on a last axis, in
+    (row, column) order; returns their max and the index of the first max."""
+    n, hh, ww, c = x.shape
+    xr = x.reshape(n, hh // 2, 2, ww // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(n, hh // 2, ww // 2, c, 4)
+    return xr.max(axis=-1), xr.argmax(axis=-1)
+
+
+def argmax_pool_backward(idx, dy):
+    n, h2, w2, c = idx.shape
+    dxr = np.where(idx[..., None] == np.arange(4), dy[..., None], 0)
+    return dxr.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * h2, 2 * w2, c)
+
+
 class TestLayers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_bit_equal_to_argmax_reference_with_ties(self, dtype):
+        rng = np.random.default_rng(30)
+        x = np.maximum(rng.normal(size=(3, 8, 10, 4)) - 0.7, 0.0).astype(dtype)
+        # exact ties between positive inputs too, not only between ReLU zeros
+        copy = rng.random(x[:, 1::2, 1::2].shape) < 0.3
+        x[:, 1::2, 1::2] = np.where(copy, x[:, 0::2, 1::2], x[:, 1::2, 1::2])
+        y = _maxpool2(x)
+        want, idx = argmax_pool(x)
+        assert y.dtype == x.dtype and np.array_equal(y, want)
+        blocks = x.reshape(3, 4, 2, 5, 2, 4)
+        ties = (blocks == y[:, :, None, :, None]).sum(axis=(2, 4)) > 1
+        assert ties.mean() > 0.3 and (ties & (y > 0)).any()
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx = _maxpool2_backward(x, y, dy)
+        assert dx.dtype == dy.dtype and np.array_equal(dx, argmax_pool_backward(idx, dy))
+
+    def test_maxpool_gradient_goes_to_first_tied_input(self):
+        blocks = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [3.0, 3.0]]]
+        x = np.concatenate([np.array(b)[None, :, :, None] for b in blocks], axis=2)
+        y = _maxpool2(x)
+        assert y[0, 0, :, 0].tolist() == [0.0, 2.0, 3.0]
+        dx = _maxpool2_backward(x, y, np.array([[[[1.0], [2.0], [3.0]]]]))
+        assert dx[0, :, :, 0].tolist() == [[1.0, 0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 3.0, 0.0]]
+
     def test_maxpool_matches_manual_blocks(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 6, 3))
-        out, _ = _maxpool2(x)
+        out = _maxpool2(x)
         for b in range(2):
             for i in range(2):
                 for j in range(3):
@@ -337,6 +383,76 @@ def test_batch_matches_sequential_single_calls(dtype, training):
         assert err <= grad_tol, f"{name}: {err:.2e}"
     if training:
         assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+
+
+def reference_forward_backward(params, windows, contexts, targets, rng):
+    """``forward(training=True)`` and ``backward`` written out layer by layer
+    with the argmax pool, in the same operation order."""
+    arch, dtype = params.arch, params.dtype
+    n = len(windows)
+    size1 = arch.frames * arch.bands * arch.conv1_filters
+    keep = rng.random((n, size1 + arch.frames * arch.hidden)) >= DROPOUT_P
+    mask1 = keep[:, :size1].reshape(n, arch.frames, arch.bands, arch.conv1_filters)
+    mask2 = keep[:, size1:].reshape(n, arch.frames, arch.hidden)
+    scale = np.asarray(1.0 / (1.0 - DROPOUT_P), dtype=dtype)
+
+    x = np.asarray(windows, dtype=dtype)[..., None]
+    a1 = _conv2d(x, params["conv1_w"], params["conv1_b"])
+    d1 = np.maximum(a1, 0.0)
+    d1 *= mask1
+    d1 *= scale
+    p1, idx1 = argmax_pool(d1)
+    a2 = _conv2d(p1, params["conv2_w"], params["conv2_b"])
+    p2, idx2 = argmax_pool(np.maximum(a2, 0.0))
+    flat = p2.reshape(n, -1)
+    a3 = flat @ params["fc1_w"] + params["fc1_b"]
+    notes8 = pad_note_vectors(np.asarray(contexts, dtype=dtype), arch, dtype)
+    fused = np.maximum(a3, 0.0).reshape(n, arch.frames, arch.seg_features) * notes8
+    hs1, lstm1 = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], fused)
+    hs2, lstm2 = _lstm_forward(params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"], hs1 * mask2 * scale)
+    logits = hs2[:, -1] @ params["out_w"] + params["out_b"]
+    probs = softmax_rows(logits.reshape(n, arch.horizon, arch.classes))
+
+    dlogits = ((probs - np.asarray(targets, dtype=dtype)) / arch.horizon).astype(dtype).reshape(n, -1)
+    g = {"out_w": hs2[:, -1].T @ dlogits, "out_b": dlogits.sum(axis=0)}
+    dh_ext2 = np.zeros((n, arch.frames, arch.hidden), dtype=dtype)
+    dh_ext2[:, -1] = dlogits @ params["out_w"].T
+    dhd, g["lstm2_wx"], g["lstm2_wh"], g["lstm2_b"] = _lstm_backward(lstm2, dh_ext2)
+    dhd *= mask2
+    dhd *= scale
+    dfused, g["lstm1_wx"], g["lstm1_wh"], g["lstm1_b"] = _lstm_backward(lstm1, dhd)
+    da3 = (dfused * notes8).reshape(n, -1) * (a3 > 0)
+    g["fc1_w"] = flat.T @ da3
+    g["fc1_b"] = da3.sum(axis=0)
+    da2 = argmax_pool_backward(idx2, (da3 @ params["fc1_w"].T).reshape(p2.shape))
+    da2 *= a2 > 0
+    g["conv2_w"], g["conv2_b"] = _conv2d_backward(p1, params["conv2_w"], da2)
+    da1 = argmax_pool_backward(idx1, _conv2d_input_grad(params["conv2_w"], da2))
+    da1 *= mask1
+    da1 *= scale
+    da1 *= a1 > 0
+    g["conv1_w"], g["conv1_b"] = _conv2d_backward(x, params["conv1_w"], da1)
+    return probs, {name: grad / n for name, grad in g.items()}
+
+
+def test_training_step_bit_identical_to_layer_by_layer_reference():
+    params = init_params(DEFAULT_ARCH, seed=31)
+    rng_data = np.random.default_rng(32)
+    for name, arr in params.items():
+        if name.endswith("_b"):
+            arr += rng_data.uniform(-0.1, 0.1, size=arr.shape).astype(arr.dtype)
+    n = 16
+    windows = rng_data.normal(size=(n, DEFAULT_ARCH.frames, DEFAULT_ARCH.bands))
+    contexts = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.context)))
+    targets = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.horizon)))
+
+    probs, cache = forward(params, windows, contexts, training=True, rng=np.random.default_rng(33))
+    grads = backward(params, cache, targets)
+    want_probs, want_grads = reference_forward_backward(params, windows, contexts, targets, np.random.default_rng(33))
+    assert np.array_equal(probs, want_probs)
+    for name, _ in params.items():
+        assert grads[name].dtype == want_grads[name].dtype
+        assert np.array_equal(grads[name], want_grads[name]), name
 
 
 def test_loss_is_batch_mean_of_single_losses():
