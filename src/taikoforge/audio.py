@@ -103,7 +103,7 @@ def decode_audio(path: str | Path) -> tuple[np.ndarray, int]:
     n_out = int(round(len(samples) * SAMPLE_RATE / rate))
     if n_out > MAX_SONG_MS * SAMPLE_RATE // 1000:
         raise CorruptFile(f"{path}: {len(samples)} samples at {rate} Hz exceed the {MAX_SONG_MS}ms limit")
-    if rate != SAMPLE_RATE:
+    if rate != SAMPLE_RATE and len(samples):
         positions = np.arange(n_out) * (rate / SAMPLE_RATE)
         samples = np.interp(positions, np.arange(len(samples)), samples)
     return samples, SAMPLE_RATE

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, chart_io, dataset, generator, metrics, trainer
+from .atomic import atomic_write
 from .chart import NUM_CLASSES, BinaryChart, NoteClass, NoteFrameSequence, binarize
 from .errors import TaikoForgeError
 from .neural import load_checkpoint
@@ -153,7 +154,8 @@ def cmd_generate(args) -> int:
     notes = generator.generate(params, args.audio, seed=args.seed, greedy=args.greedy)
     notes = generator.postprocess(notes)
     text = chart_io.write_osu(notes, args.bpm, Path(args.audio).name)
-    Path(args.out).write_text(text, encoding="utf-8")
+    with atomic_write(args.out, "w", encoding="utf-8") as f:
+        f.write(text)
     dist = metrics.note_distribution(notes)
     print(metrics.distribution_table({Path(args.out).stem: dist}))
     print(f"wrote {args.out} ({len(notes)} frames)")
@@ -217,7 +219,8 @@ def cmd_evaluate(args) -> int:
         print(metrics.distribution_table(dist_rows))
 
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        with atomic_write(args.csv, "w", encoding="utf-8") as f:
+            f.write(report.to_csv())
         print(f"wrote {args.csv}")
     return 0
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .audio import NUM_BANDS, WINDOW_FRAMES, NormStats, apply_norm, fit_norm
 from .chart import NUM_CLASSES, NoteClass, NoteFrameSequence, one_hot_rows
 from .errors import BadMagic, CorruptFile, TooFewCharts, TooShort, TruncatedFile, VersionMismatch
@@ -179,8 +180,9 @@ def assemble(charts: dict, ratio: float = 0.9, seed: int = 0) -> Dataset:
 
 
 def save_dataset(path: str | Path, ds: Dataset) -> None:
-    """Write the dataset file. Feature rows are f32; the normalization
-    stats ride in the JSON manifest at full precision (repr round-trip)."""
+    """Write the dataset file, through a temporary file that replaces
+    ``path`` once complete. Feature rows are f32; the normalization stats
+    ride in the JSON manifest at full precision (repr round-trip)."""
     manifest_json = json.dumps(
         {
             "bands": ds.manifest.bands,
@@ -196,7 +198,7 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
         separators=(",", ":"),
     ).encode()
 
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<II", DATASET_VERSION, len(manifest_json)))
         f.write(manifest_json)

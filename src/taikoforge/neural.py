@@ -26,8 +26,15 @@ fc(64->28) -> four independent 7-way softmax rows.
 :func:`forward` is built from pieces that generation calls one by one:
 
 * :func:`trunk` runs everything before the note fusion (conv1 through fc1
-  and its ReLU) and returns the 16 segments per window. It reads no notes,
-  so generation runs it once per window, in batches, before sampling.
+  and its ReLU) and returns the 16 segments per window. Training and
+  validation call it; it reads no notes.
+* :func:`song_trunk` gives the same segments, for inference, for every
+  window of a song at once. Consecutive windows overlap in 15 of 16
+  frames, and only a window's first and last rows see its zero padding, so
+  conv1, pool1 and the conv2 and pool2 rows that read no padded row are
+  computed once per song row; only the edge rows are computed per window.
+  Its sums run in another order than :func:`trunk`'s, so the two agree to
+  rounding, not bit for bit.
 * :func:`_lstm_step` is one recurrent step for a batch of rows, given the
   step's input projection. :func:`_lstm_forward` loops it over a window's
   16 steps; generation runs it across windows, one step of each.
@@ -42,6 +49,7 @@ that equals the pooled max.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -49,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .audio import NormStats
 from .errors import (
     BadMagic,
@@ -418,6 +427,126 @@ def trunk(params: ModelParams, windows: np.ndarray, mask1: np.ndarray | None = N
     return seg, {"x": x, "a1": a1, "mask1": mask1, "p1": p1, "a2": a2, "flat": flat, "a3": a3}
 
 
+#: Windows per :func:`song_trunk` chunk. A chunk recomputes the frames - 1
+#: feature rows it shares with the next, so small chunks repeat work; past
+#: about 52 windows its largest maps exceed 1 MB, and glibc's allocator
+#: then mapped fresh pages for every chunk. Times for 2,600 windows (one
+#: BLAS thread, medians of 8 calls in each of 3 processes): 16 windows
+#: 0.19-0.24 s, 24-48 windows 0.14-0.17 s, 56 windows 0.21-0.26 s, 64-128
+#: windows 0.23-0.34 s, or 0.14 s with glibc's mmap threshold raised. The
+#: per-window trunk in chunks of 16 took 0.44 s.
+TRUNK_CHUNK = 32
+
+
+def _row_taps(x, w):
+    """What each row of x (R, W, Cin) adds through each kernel row of w
+    (Cout, Cin, K, 3), zero-padded along the width only: (R, W, K, Cout).
+    Through kernel row ky of a 3x3 kernel, row t feeds output row t+1-ky."""
+    n, width, cin = x.shape
+    xp = np.zeros((n, width + 2, cin), dtype=x.dtype)
+    xp[:, 1:-1] = x
+    cols = np.concatenate([xp[:, kx : kx + width] for kx in range(3)], axis=-1)
+    k = w.transpose(3, 1, 2, 0).reshape(3 * cin, -1)
+    return (cols.reshape(n * width, 3 * cin) @ k).reshape(n, width, w.shape[2], w.shape[0])
+
+
+def _biased_sum(terms, b):
+    """``sum(terms) + b`` for a list of two or more arrays, in one new array."""
+    out = terms[0] + terms[1]
+    for t in terms[2:]:
+        out += t
+    out += b
+    return out
+
+
+def _relu_halve_width(x):
+    """ReLU of x, in place, then the width half of a 2x2 max pool over its
+    (..., W, C) rows."""
+    np.maximum(x, 0.0, out=x)
+    return np.maximum(x[..., 0::2, :], x[..., 1::2, :])
+
+
+def _song_trunk_chunk(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """:func:`song_trunk` for every window of the feature rows x (m, bands).
+
+    A window sees zero padding only at its own first and last row, so each
+    conv1 row, pool1 row and conv2 row that reads no padding equals a row of
+    one map over all of x. Those maps are computed once; only the rows at a
+    window's edges are computed per window.
+    """
+    arch = params.arch
+    frames, half, quarter = arch.frames, arch.frames // 2, arch.frames // 4
+    c = len(x) - frames + 1
+    b1, b2 = params["conv1_b"], params["conv2_b"]
+
+    # conv1 and pool1. d1[t] is the width-pooled conv1 row t+1 of x, which
+    # is row t+1-j of window j wherever that is not the window's first or
+    # last row; pooled[u] is the pool of d1[u] and d1[u+1], window j's
+    # pool1 row q for 0 < q < half-1 when u = j+2q-1.
+    r1 = _row_taps(x[..., None], params["conv1_w"])
+    d1 = _relu_halve_width(_biased_sum([r1[:-2, :, 0], r1[1:-1, :, 1], r1[2:, :, 2]], b1))
+    pooled = np.maximum(d1[:-1], d1[1:])
+    first = _relu_halve_width(_biased_sum([r1[:c, :, 1], r1[1 : c + 1, :, 2]], b1))
+    np.maximum(first, d1[:c], out=first)
+    end = frames - 2
+    last = _relu_halve_width(_biased_sum([r1[end : end + c, :, 0], r1[end + 1 : end + 1 + c, :, 1]], b1))
+    np.maximum(last, d1[end - 1 : end - 1 + c], out=last)
+
+    # conv2 taps of every pool1 row: a window's first pool1 row reaches
+    # conv2 through kernel rows 0-1 only, its last through rows 1-2, and
+    # the other rows are shared
+    w2 = params["conv2_w"]
+    taps_first = _row_taps(first, w2[:, :, :2])
+    taps_last = _row_taps(last, w2[:, :, 1:])
+    taps = _row_taps(pooled, w2)
+
+    def tap(q, ky):
+        if q == 0:
+            return taps_first[:, :, ky]
+        if q == half - 1:
+            return taps_last[:, :, ky - 1]
+        return taps[2 * q - 1 : 2 * q - 1 + c, :, ky]
+
+    def conv2_row(r):
+        return _biased_sum([tap(q, q + 1 - r) for q in range(max(r - 1, 0), min(r + 2, half))], b2)
+
+    def pool2_row(r):
+        return _relu_halve_width(np.maximum(conv2_row(r), conv2_row(r + 1)))
+
+    p2 = np.empty((c, quarter, arch.bands // 4, arch.conv2_filters), dtype=x.dtype)
+    p2[:, 0] = pool2_row(0)
+    p2[:, -1] = pool2_row(half - 2)
+    if quarter > 2:
+        # conv2 rows 2..half-3 read no edge row: window j's row r is
+        # shared[j+2r-3], and its pool2 row s (0 < s < quarter-1) is
+        # pool2[j+4s-3]
+        shared = _biased_sum([taps[:-4, :, 0], taps[2:-2, :, 1], taps[4:, :, 2]], b2)
+        pool2 = _relu_halve_width(np.maximum(shared[:-2], shared[2:]))
+        for s in range(1, quarter - 1):
+            p2[:, s] = pool2[4 * s - 3 : 4 * s - 3 + c]
+    a3 = p2.reshape(c, -1) @ params["fc1_w"] + params["fc1_b"]
+    return np.maximum(a3, 0.0).reshape(c, frames, arch.seg_features)
+
+
+def song_trunk(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Inference :func:`trunk` for every window of a song at once.
+
+    ``features`` is (frames, bands); returns the (windows, frames,
+    seg_features) segments that ``trunk`` gives for each window
+    ``features[j : j + frames]`` in turn, equal to rounding. Overlapping
+    windows share their convolution rows, so the song runs in chunks of
+    :data:`TRUNK_CHUNK` windows that compute each shared row once.
+    """
+    arch = params.arch
+    x = np.asarray(features, dtype=params.dtype)
+    count = max(len(x) - arch.frames + 1, 0)
+    seg = np.empty((count, arch.frames, arch.seg_features), dtype=params.dtype)
+    for start in range(0, count, TRUNK_CHUNK):
+        stop = min(start + TRUNK_CHUNK, count)
+        seg[start:stop] = _song_trunk_chunk(params, x[start : stop + arch.frames - 1])
+    return seg
+
+
 def _head(params: ModelParams, h_last: np.ndarray) -> np.ndarray:
     """Output layer: the (B, hidden) last LSTM outputs to (B, 4, 7) quads."""
     arch = params.arch
@@ -598,7 +727,8 @@ def save_checkpoint(path: str | Path, params: ModelParams, state: AdamState | No
 
     Versioned little-endian layout, f32 arrays, trailing CRC32 of the whole
     preceding byte stream. Arrays are written from their own buffers, with
-    no copy of the whole file in memory.
+    no copy of the whole file in memory, into a temporary file that replaces
+    ``path`` once complete.
     """
     if state is None:
         state = init_adam_state(params)
@@ -620,7 +750,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, state: AdamState | No
         data = np.ascontiguousarray(arr, dtype="<f4")
         chunks += [_array_header(name, data), data.data]
     crc = 0
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         for chunk in chunks:
             f.write(chunk)
             crc = zlib.crc32(chunk, crc)
@@ -684,8 +814,10 @@ def load_checkpoint(
         except UnicodeDecodeError as exc:
             raise CorruptFile(f"{path}: array name is not UTF-8") from exc
         (ndim,) = r.unpack("<B")
+        if ndim > 4:  # conv kernels have the most axes
+            raise CorruptFile(f"{path}: array {name!r} declares {ndim} axes")
         shape = r.unpack(f"<{ndim}I")
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)  # exact: np.prod wraps past 2**63
         arrays[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).astype(dtype)
     if r.pos != len(r.data):
         raise TruncatedFile(f"{path}: trailing bytes after declared arrays")

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import atomic_write
 from .dataset import Dataset
 from .errors import ExplosionAtFirstEpoch
 from .neural import (
@@ -191,5 +192,6 @@ def train(
             log(record.line())
 
     final_path = ckpt_dir / "final.tknm"
-    shutil.copyfile(best_path, final_path)
+    with open(best_path, "rb") as src, atomic_write(final_path) as dst:
+        shutil.copyfileobj(src, dst)
     return TrainResult(params, state, records, final_path, exploded_at)

@@ -163,6 +163,16 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "UTF-8" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_wav_without_a_whole_sample_exits_2(self, tmp_path, capsys, rate):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, init_params(DEFAULT_ARCH, seed=0))
+        wav = tmp_path / "empty.wav"
+        write_wav_pcm16(wav, [], rate=rate)
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestEvaluate:
     def make_dirs(self, tmp_path, same=True):

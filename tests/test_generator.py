@@ -4,7 +4,7 @@ import pytest
 from taikoforge.chart import HIT_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.errors import ShapeMismatch
 from taikoforge.generator import aggregate_distribution, generate_notes, postprocess
-from taikoforge.neural import DEFAULT_ARCH, ArchConfig, forward, init_params
+from taikoforge.neural import DEFAULT_ARCH, TRUNK_CHUNK, ArchConfig, forward, init_params
 
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
@@ -134,7 +134,10 @@ class TestGenerateNotes:
 
     @pytest.mark.parametrize("arch", [MINI, DEFAULT_ARCH], ids=["mini", "default"])
     @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
-    @pytest.mark.parametrize("n", [15, 16, 17, 19, 403])
+    @pytest.mark.parametrize("n", [15, 16, 17, 19, 403] + [
+        # window counts one below, at and one above the trunk's chunk size
+        TRUNK_CHUNK + frames - 1 + d for frames in (MINI.frames, DEFAULT_ARCH.frames) for d in (-1, 0, 1)
+    ])
     def test_wavefront_matches_per_window_reference(self, arch, greedy, n):
         params = nudged_params(arch, seed=n)
         features = np.random.default_rng(n + 1).normal(size=(n, arch.bands))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from taikoforge.audio import NormStats
 from taikoforge.chart import one_hot_rows
 from taikoforge.errors import (
     BadMagic,
     ChecksumMismatch,
+    CorruptFile,
     ShapeMismatch,
     TruncatedFile,
     VersionMismatch,
@@ -13,6 +15,7 @@ from taikoforge.errors import (
 from taikoforge.neural import (
     DEFAULT_ARCH,
     DROPOUT_P,
+    TRUNK_CHUNK,
     ArchConfig,
     ModelParams,
     _conv2d,
@@ -32,6 +35,8 @@ from taikoforge.neural import (
     pad_note_vectors,
     save_checkpoint,
     softmax_rows,
+    song_trunk,
+    trunk,
 )
 
 # small enough that finite differences over every parameter stay cheap
@@ -464,6 +469,45 @@ def test_loss_is_batch_mean_of_single_losses():
     assert loss(probs, targets) == pytest.approx(np.mean(singles), rel=1e-6)
 
 
+SONG_TRUNK_ARCHS = {
+    "mini": MINI,
+    "frames8": ArchConfig(frames=8),
+    "frames12": ArchConfig(frames=12),
+    "default": DEFAULT_ARCH,
+}
+# largest |song_trunk - trunk| over all segments, relative to the largest |segment|
+SONG_TRUNK_TOLERANCES = {np.float64: 1e-12, np.float32: 2e-6}
+
+
+@pytest.mark.parametrize("arch_name", sorted(SONG_TRUNK_ARCHS))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_song_trunk_matches_per_window_trunk(arch_name, dtype):
+    """Every window's segments against ``trunk`` on that window alone, for
+    one-window and two-window songs, a long song, and window counts one
+    below, at and one above a multiple of the chunk size."""
+    arch = SONG_TRUNK_ARCHS[arch_name]
+    params = init_params(arch, seed=31, dtype=dtype)
+    rng = np.random.default_rng(32)
+    for name, arr in params.items():
+        if name.endswith("_b"):
+            arr += rng.uniform(-0.3, 0.3, size=arr.shape).astype(dtype)
+    window_counts = [1, 2, 403 - arch.frames + 1] + [2 * TRUNK_CHUNK + d for d in (-1, 0, 1)]
+    for count in window_counts:
+        features = rng.normal(size=(count + arch.frames - 1, arch.bands))
+        windows = sliding_window_view(features, arch.frames, axis=0).transpose(0, 2, 1)
+        want, _ = trunk(params, windows)
+        got = song_trunk(params, features)
+        assert got.shape == want.shape == (count, arch.frames, arch.seg_features)
+        assert got.dtype == want.dtype
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= SONG_TRUNK_TOLERANCES[dtype], f"{count} windows: {err:.2e}"
+
+
+def test_song_trunk_of_song_shorter_than_a_window_is_empty():
+    seg = song_trunk(init_params(MINI), np.zeros((MINI.frames - 1, MINI.bands)))
+    assert seg.shape == (0, MINI.frames, MINI.seg_features)
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_params(MINI, seed=18)
@@ -555,6 +599,28 @@ class TestCheckpoint:
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    def test_more_axes_than_any_parameter(self, tmp_path):
+        params, state = self._params()
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"conv1_w") + len(b"conv1_w")] = 65
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFile, match="65 axes"):
+            load_checkpoint(path)
+
+    def test_shape_product_past_int64(self, tmp_path):
+        # 2**31 * 2**31 * 4 wraps to 0 in int64 arithmetic
+        params, state = self._params()
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        data = bytearray(path.read_bytes())
+        shape_at = data.index(b"conv1_w") + len(b"conv1_w") + 1
+        data[shape_at : shape_at + 16] = np.array([2**31, 2**31, 4, 1], dtype="<u4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(TruncatedFile):
             load_checkpoint(path)
 
     def test_architecture_mismatch(self, tmp_path):
