@@ -90,7 +90,7 @@ def cmd_build_dataset(args) -> int:
         length_ms = len(samples) * 1000 // rate
         text = _read_chart(chart_path)
         notes, _ = _with_file_context(chart_path, lambda: chart_io.parse_osu(text, song_length_ms=length_ms))
-        feats = audio.mel_project(audio.stft_frames(samples, rate))
+        feats = audio.log_mel_frames(samples, rate)
         return chart_path.stem, feats, notes
 
     prepared = _map_songs(prepare, chart_files)

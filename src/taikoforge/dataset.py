@@ -86,6 +86,8 @@ class Dataset:
     ``windows[i]``, ``contexts[i]`` and ``targets[i]`` give example ``i`` (or
     the examples an index array selects) as f32 arrays of shape (16, bands),
     (15, 7) and (4, 7), with a leading axis for an index array.
+    ``starts[i]`` is the stored row at which example ``i`` begins; the
+    examples of one chart start on consecutive rows.
     """
 
     def __init__(self, manifest: DatasetManifest, features: np.ndarray, notes: np.ndarray, norm: NormStats):
@@ -109,6 +111,8 @@ class Dataset:
         counts = [c.example_count for c in manifest.charts]
         chart_of = np.repeat(np.arange(len(counts)), counts)
         starts = np.arange(chart_of.size) + (MIN_FRAMES - 1) * chart_of
+        starts.flags.writeable = False
+        self.starts = starts
         self.windows = _ExampleRows(starts, features, 0, WINDOW_FRAMES, one_hot=False)
         self.contexts = _ExampleRows(starts, notes, 0, CONTEXT_FRAMES, one_hot=True)
         self.targets = _ExampleRows(starts, notes, CONTEXT_FRAMES, TARGET_FRAMES, one_hot=True)

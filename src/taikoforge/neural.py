@@ -1,10 +1,10 @@
 """Self-contained numerical core: the conv+LSTM chart model.
 
 No ML runtime; everything is numpy. Every layer takes a leading batch
-axis, so one :func:`forward` / :func:`backward` call runs a whole batch
-(training minibatches and validation chunks alike), and generation runs
-the same layers on batches of its own. float32 by default, float64
-available for finite-difference gradient verification.
+axis, so one :func:`forward` / :func:`backward` call runs a whole training
+minibatch, and validation and generation run the same layers on batches
+of their own. float32 by default, float64 available for finite-difference
+gradient verification.
 
 Layout conventions, fixed across forward/backward/checkpoints:
 
@@ -23,18 +23,23 @@ with the 15 note one-hots (right-padded with a constant 1; the masked
 final segment uses all ones) -> LSTM(64) -> dropout(0.8) -> LSTM(64) ->
 fc(64->28) -> four independent 7-way softmax rows.
 
-:func:`forward` is built from pieces that generation calls one by one:
+:func:`forward` is built from pieces that inference calls one by one:
 
 * :func:`trunk` runs everything before the note fusion (conv1 through fc1
-  and its ReLU) and returns the 16 segments per window. Training and
-  validation call it; it reads no notes.
+  and its ReLU) and returns the 16 segments per window. Only training
+  calls it, because its dropout masks are drawn per window; it reads no
+  notes.
 * :func:`song_trunk` gives the same segments, for inference, for every
-  window of a song at once. Consecutive windows overlap in 15 of 16
-  frames, and only a window's first and last rows see its zero padding, so
-  conv1, pool1 and the conv2 and pool2 rows that read no padded row are
-  computed once per song row; only the edge rows are computed per window.
-  Its sums run in another order than :func:`trunk`'s, so the two agree to
-  rounding, not bit for bit.
+  window of a run of consecutive feature rows at once. Consecutive windows
+  overlap in 15 of 16 frames, and only a window's first and last rows see
+  its zero padding, so conv1, pool1 and the conv2 and pool2 rows that read
+  no padded row are computed once per row; only the edge rows are
+  computed per window. Its sums run in another order than :func:`trunk`'s,
+  so the two agree to rounding, not bit for bit. Validation and
+  generation call it.
+* :func:`recurrent_forward` runs the rest: note fusion, lstm1, its
+  dropout, lstm2 and the head. :func:`forward` calls it for training and
+  validation calls it on :func:`song_trunk`'s segments.
 * :func:`_lstm_step` is one recurrent step for a batch of rows, given the
   step's input projection. :func:`_lstm_forward` loops it over a window's
   16 steps; generation runs it across windows, one step of each.
@@ -539,6 +544,8 @@ def song_trunk(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """
     arch = params.arch
     x = np.asarray(features, dtype=params.dtype)
+    if x.ndim != 2 or x.shape[1] != arch.bands:
+        raise ShapeMismatch(f"feature rows must be (frames, {arch.bands}), got {x.shape}")
     count = max(len(x) - arch.frames + 1, 0)
     seg = np.empty((count, arch.frames, arch.seg_features), dtype=params.dtype)
     for start in range(0, count, TRUNK_CHUNK):
@@ -577,14 +584,10 @@ def forward(
     one example each.
     """
     arch = params.arch
-    dtype = params.dtype
-    windows = np.asarray(windows, dtype=dtype)
-    contexts = np.asarray(contexts, dtype=dtype)
+    windows = np.asarray(windows, dtype=params.dtype)
     if windows.ndim != 3 or windows.shape[1:] != (arch.frames, arch.bands):
         raise ShapeMismatch(f"song windows must be (B, {arch.frames}, {arch.bands}), got {windows.shape}")
     n = windows.shape[0]
-    if contexts.shape != (n, arch.context, arch.classes):
-        raise ShapeMismatch(f"note contexts must be {(n, arch.context, arch.classes)}, got {contexts.shape}")
     if training and rng is None:
         raise ValueError("training mode needs an rng for dropout masks")
 
@@ -596,15 +599,31 @@ def forward(
         mask2 = keep[:, size1:].reshape(n, arch.frames, arch.hidden)
 
     seg, cache = trunk(params, windows, mask1)
+    probs, rest = recurrent_forward(params, seg, contexts, mask2)
+    cache.update(rest)
+    return probs, cache
+
+
+def recurrent_forward(params: ModelParams, seg: np.ndarray, contexts: np.ndarray, mask2: np.ndarray | None = None):
+    """Everything after the audio trunk: fuse the (B, frames, seg_features)
+    segments with the padded note rows, run lstm1, its dropout when a keep
+    mask is given, lstm2 and the output head.
+
+    Returns the (B, 4, 7) prediction quads and the activations
+    :func:`backward` needs from this part of the network.
+    """
+    arch = params.arch
+    dtype = params.dtype
+    contexts = np.asarray(contexts, dtype=dtype)
+    if contexts.shape != (len(seg), arch.context, arch.classes):
+        raise ShapeMismatch(f"note contexts must be {(len(seg), arch.context, arch.classes)}, got {contexts.shape}")
     notes8 = pad_note_vectors(contexts, arch, dtype)
     hs1, lstm1 = _lstm_forward(params["lstm1_wx"], params["lstm1_wh"], params["lstm1_b"], seg * notes8)
-    hd = hs1 * mask2 * _keep_scale(dtype) if training else hs1
+    hd = hs1 * mask2 * _keep_scale(dtype) if mask2 is not None else hs1
     hs2, lstm2 = _lstm_forward(params["lstm2_wx"], params["lstm2_wh"], params["lstm2_b"], hd)
     h_last = hs2[:, -1]
     probs = _head(params, h_last)
-
-    cache.update(notes8=notes8, lstm1=lstm1, mask2=mask2, lstm2=lstm2, h_last=h_last, probs=probs)
-    return probs, cache
+    return probs, {"notes8": notes8, "lstm1": lstm1, "mask2": mask2, "lstm2": lstm2, "h_last": h_last, "probs": probs}
 
 
 def loss(pred: np.ndarray, targets: np.ndarray) -> float:

@@ -7,6 +7,12 @@ parameter or its mean training loss goes non-finite, or when the loss
 jumps past ``explosion_factor`` times the previous epoch's; training then
 stops and the previous epoch's checkpoint wins. Every run is fully
 deterministic under its seed.
+
+Training runs :func:`~taikoforge.neural.forward` on gathered windows, each
+with its own dropout masks. Validation, after every finished epoch, runs
+the inference path that generation also uses: the song-level trunk over
+each validation chart's stored feature rows, then the shared recurrent
+layers and head.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .dataset import Dataset
 from .errors import ExplosionAtFirstEpoch
 from .neural import (
     DEFAULT_ARCH,
+    TRUNK_CHUNK,
     AdamState,
     ArchConfig,
     ModelParams,
@@ -35,7 +42,9 @@ from .neural import (
     init_params,
     load_checkpoint,
     loss,
+    recurrent_forward,
     save_checkpoint,
+    song_trunk,
 )
 
 
@@ -108,20 +117,30 @@ def _run_epoch(params, state, dataset, indices, batch_size, lr, rng) -> float:
     return total / len(indices)
 
 
-#: Validation examples per forward call: large enough to amortize the
-#: per-call cost, small enough to keep the im2col buffers to a few MB.
-EVAL_CHUNK = 16
-
-
 def evaluate_loss(params: ModelParams, dataset: Dataset, indices: np.ndarray) -> float:
-    """Mean loss over a split with dropout disabled; deterministic."""
+    """Mean loss over the examples ``indices`` selects, with dropout
+    disabled; deterministic.
+
+    The indices split into runs whose examples start on consecutive stored
+    rows: a run breaks at every chart boundary and at every gap or step
+    back in ``indices``. Each run is scored in pieces of
+    :data:`~taikoforge.neural.TRUNK_CHUNK` examples, whose segments come
+    from one :func:`~taikoforge.neural.song_trunk` call over the piece's
+    feature rows, so that overlapping windows share their convolution rows.
+    """
     if len(indices) == 0:
         return float("nan")
+    frames = params.arch.frames
+    starts = dataset.starts[indices]
+    breaks = [0, *(np.flatnonzero(np.diff(starts) != 1) + 1), len(indices)]
     total = 0.0
-    for start in range(0, len(indices), EVAL_CHUNK):
-        chunk = indices[start : start + EVAL_CHUNK]
-        probs, _ = forward(params, dataset.windows[chunk], dataset.contexts[chunk], training=False)
-        total += loss(probs, dataset.targets[chunk]) * len(chunk)
+    for run_start, run_stop in zip(breaks[:-1], breaks[1:]):
+        for lo in range(run_start, run_stop, TRUNK_CHUNK):
+            piece = indices[lo : min(lo + TRUNK_CHUNK, run_stop)]
+            row = starts[lo]
+            seg = song_trunk(params, dataset.features[row : row + len(piece) + frames - 1])
+            probs, _ = recurrent_forward(params, seg, dataset.contexts[piece])
+            total += loss(probs, dataset.targets[piece]) * len(piece)
     return total / len(indices)
 
 

@@ -1,10 +1,12 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from taikoforge.audio import (
+    FEATURE_BLOCK,
     FFT_SIZE,
     LOG_OFFSET,
     MEL_FMAX,
@@ -19,9 +21,11 @@ from taikoforge.audio import (
     fit_norm,
     frame_count_for,
     hz_to_mel,
+    log_mel_frames,
     mel_filterbank,
     mel_project,
     mel_to_hz,
+    song_features,
     stft_frames,
 )
 from taikoforge.errors import CorruptFile, EmptyCorpus, UnsupportedCodec
@@ -210,6 +214,56 @@ class TestStft:
         step = 23 * SAMPLE_RATE / 1000.0
         ks = np.arange(0, 200_000, 997)
         assert np.abs(np.rint(ks * step) - ks * step).max() < 1.0
+
+
+def samples_for_frames(rng, frames):
+    """Noise just long enough for ``frames`` STFT frames."""
+    return rng.uniform(-1.0, 1.0, size=(frames * SAMPLE_RATE * 23 + 999) // 1000)
+
+
+class TestBlockedFeatures:
+    # the blocks must not change a bit: the reference is the whole-song
+    # STFT and Mel projection in one call each
+    @pytest.mark.parametrize(
+        "frames",
+        [0, 1, 15, 16, FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1]
+        + [k * FEATURE_BLOCK + d for k in (2, 3) for d in (-1, 0, 1)]
+        + [2 * FEATURE_BLOCK + FEATURE_BLOCK // 4 + d for d in (-1, 0, 1)],
+    )
+    def test_bit_identical_to_whole_song(self, frames):
+        samples = samples_for_frames(np.random.default_rng(frames), frames)
+        assert frame_count_for(len(samples)) == frames
+        want = mel_project(stft_frames(samples, SAMPLE_RATE))
+        got = log_mel_frames(samples, SAMPLE_RATE)
+        assert got.shape == (frames, NUM_BANDS)
+        assert np.array_equal(got, want)
+
+    def test_song_features_read_the_blocks(self, tmp_path):
+        samples = samples_for_frames(np.random.default_rng(5), 2 * FEATURE_BLOCK + 7)
+        path = tmp_path / "song.wav"
+        write_wav_pcm16(path, samples)
+        decoded, rate = decode_audio(path)
+        want = mel_project(stft_frames(decoded, rate))
+        assert np.array_equal(song_features(path), want)
+        stats = NormStats(want.mean(axis=0), want.std(axis=0) + 1.0)
+        assert np.array_equal(song_features(path, stats), apply_norm(want, stats))
+
+    def test_frame_range_is_a_slice_of_the_whole(self):
+        samples = samples_for_frames(np.random.default_rng(6), 40)
+        whole = stft_frames(samples, SAMPLE_RATE)
+        assert np.array_equal(stft_frames(samples, SAMPLE_RATE, 7, 23), whole[7:23])
+        assert stft_frames(samples, SAMPLE_RATE, 40, 40).shape == (0, SPECTRUM_BINS)
+
+    def test_working_memory_does_not_grow_with_the_song(self):
+        samples = samples_for_frames(np.random.default_rng(7), 8000)  # about three minutes
+        tracemalloc.start()
+        try:
+            out = log_mel_frames(samples, SAMPLE_RATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-song STFT alone holds 8000 x 1024 float64 segments (65 MB)
+        assert peak - out.nbytes < 16 * 2**20
 
 
 class TestMel:

@@ -1,5 +1,6 @@
-"""Mutated and truncated binary inputs of ``generate``: WAV audio and TKNM
-checkpoints. Whatever the bytes, only a TaikoForgeError may escape."""
+"""Mutated and truncated inputs: WAV audio, ``.osu`` and ``.sm`` charts,
+TKND datasets and TKNM checkpoints. Whatever the bytes, only a
+TaikoForgeError may escape."""
 
 import struct
 
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taikoforge.audio import song_features
+from taikoforge.audio import NormStats, song_features
+from taikoforge.chart import binarize
+from taikoforge.chart_io import parse_osu, parse_sm, write_osu
+from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest, load_dataset, save_dataset
 from taikoforge.errors import TaikoForgeError
 from taikoforge.neural import ArchConfig, init_params, load_checkpoint, save_checkpoint
+
+from conftest import random_note_frames
 
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
@@ -92,3 +98,85 @@ def test_mutated_checkpoint_raises_only_toolkit_errors(fuzz_dir, checkpoint_byte
         load_checkpoint(path)
     except TaikoForgeError:
         pass
+
+
+def chart_text(data: bytes) -> str | None:
+    """The text a chart file holds, or None where the CLI rejects it as not
+    UTF-8 before any parser runs."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+OSU = write_osu(random_note_frames(np.random.default_rng(3), 60), 130.0, "song.wav").encode()
+
+SM = b"""#TITLE:fixture;
+#OFFSET:-0.050;
+#BPMS:0.000=150.000;
+#NOTES:
+     dance-single:
+     author:
+     Challenge:
+     9:
+     0.0,0.0,0.0,0.0,0.0:
+1000
+0200
+0300
+0040
+,
+0000
+1100
+0000
+M000
+;
+"""
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS, keep=st.integers(0, len(OSU)), length_ms=st.sampled_from([None, 0, 2500]))
+def test_mutated_osu_raises_only_toolkit_errors(edits, keep, length_ms):
+    text = chart_text(mutated(OSU, edits, keep))
+    try:
+        if text is not None:
+            binarize(parse_osu(text, song_length_ms=length_ms)[0])
+    except TaikoForgeError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS, keep=st.integers(0, len(SM)))
+def test_mutated_sm_raises_only_toolkit_errors(edits, keep):
+    text = chart_text(mutated(SM, edits, keep))
+    try:
+        if text is not None:
+            parse_sm(text)
+    except TaikoForgeError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def dataset_bytes(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    counts = (3, 2)
+    frames = sum(c + MIN_FRAMES - 1 for c in counts)
+    manifest = DatasetManifest((ChartEntry("a", 3, "train"), ChartEntry("b", 2, "val")), bands=4)
+    ds = Dataset(manifest, rng.normal(size=(frames, 4)), rng.integers(0, 7, frames), NormStats(np.zeros(4), np.ones(4)))
+    path = tmp_path_factory.mktemp("tknd") / "mini.tknd"
+    save_dataset(path, ds)
+    return path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS, keep=st.integers(0, 2**11))
+def test_mutated_dataset_raises_only_toolkit_errors(fuzz_dir, dataset_bytes, edits, keep):
+    path = fuzz_dir / "mutated.tknd"
+    path.write_bytes(mutated(dataset_bytes, edits, keep))
+    try:
+        ds = load_dataset(path)
+    except TaikoForgeError:
+        return
+    every = np.arange(len(ds))
+    assert ds.windows[every].shape == (len(ds), 16, ds.manifest.bands)
+    assert ds.contexts[every].shape == (len(ds), 15, 7)
+    assert ds.targets[every].shape == (len(ds), 4, 7)

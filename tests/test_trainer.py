@@ -4,7 +4,8 @@ import pytest
 from taikoforge.audio import NUM_BANDS, NormStats
 from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
 from taikoforge.errors import ExplosionAtFirstEpoch
-from taikoforge.neural import adam_step, backward, forward, init_adam_state, init_params
+from taikoforge import trainer
+from taikoforge.neural import TRUNK_CHUNK, adam_step, backward, forward, init_adam_state, init_params, loss
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
 
 
@@ -85,6 +86,103 @@ class TestTrain:
         assert len(lines) == 1
         assert "phase 1 epoch" in lines[0]
         assert "train" in lines[0] and "val" in lines[0]
+
+
+def charts_dataset(counts, seed=0):
+    """Charts of the given example counts, alternating train and val."""
+    rng = np.random.default_rng(seed)
+    frames = sum(c + MIN_FRAMES - 1 for c in counts)
+    features = rng.normal(0, 1, size=(frames, NUM_BANDS)).astype(np.float32)
+    notes = rng.integers(0, 7, size=frames)
+    entries = tuple(ChartEntry(f"c{i}", c, ("train", "val")[i % 2]) for i, c in enumerate(counts))
+    return Dataset(DatasetManifest(entries), features, notes, NormStats(np.zeros(NUM_BANDS), np.ones(NUM_BANDS)))
+
+
+def lively_params(dtype):
+    """An initialization with biases off zero and a sharper head, so that
+    the loss moves with every segment instead of sitting near ln 7."""
+    params = init_params(seed=5, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for name, arr in params.items():
+        if name.endswith("_b"):
+            arr += rng.normal(0, 0.3, size=arr.shape).astype(dtype)
+    params.arrays["out_w"] *= 4
+    return params
+
+
+def per_window_loss(params, ds, indices):
+    """Reference: the per-window inference forward on each example alone."""
+    losses = [loss(forward(params, ds.windows[i : i + 1], ds.contexts[i : i + 1])[0], ds.targets[i : i + 1]) for i in indices]
+    return float(np.mean(losses))
+
+
+class TestEvaluateLoss:
+    # charts one below, at and one above a piece, split train/val
+    COUNTS = [TRUNK_CHUNK - 1, TRUNK_CHUNK, TRUNK_CHUNK + 1, 3, 2 * TRUNK_CHUNK + 1, 1]
+    DS = charts_dataset(COUNTS)
+
+    @staticmethod
+    def index_sets(ds):
+        rng = np.random.default_rng(8)
+        yield ds.indices("val")  # three charts
+        yield ds.indices("train")
+        yield np.arange(len(ds))
+        yield rng.permutation(len(ds))[:40]  # shuffled, with gaps and steps back
+        yield np.sort(rng.choice(len(ds), 50, replace=False))
+        yield np.array([TRUNK_CHUNK + 3])
+        yield np.array([4, 4, 5])  # a repeated example
+        first = sum(TestEvaluateLoss.COUNTS[:4]) + 1  # inside the chart of 2 * TRUNK_CHUNK + 1
+        for n in (TRUNK_CHUNK - 1, TRUNK_CHUNK, TRUNK_CHUNK + 1):
+            yield np.arange(first, first + n)
+
+    # float32: song_trunk sums in another order than the per-window trunk;
+    # 1e-6 of the loss is about 60 times the largest difference seen
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_per_window_forward(self, dtype, rtol):
+        params = lively_params(dtype)
+        for idx in self.index_sets(self.DS):
+            got = evaluate_loss(params, self.DS, idx)
+            want = per_window_loss(params, self.DS, idx)
+            assert abs(got - want) <= rtol * want, (len(idx), got, want)
+
+    def test_loss_moves_with_the_examples(self):
+        # the comparison above would hold for a model that ignores its input
+        params = lively_params(np.float64)
+        values = {round(evaluate_loss(params, self.DS, np.array([i])), 6) for i in range(0, 30, 3)}
+        assert len(values) == 10
+
+    def test_empty_index_array_is_nan(self):
+        params = init_params(seed=2)
+        assert np.isnan(evaluate_loss(params, self.DS, np.empty(0, dtype=np.intp)))
+
+
+def test_train_validates_through_the_module_attribute_once_per_epoch(tmp_path, monkeypatch):
+    # the benchmark times validation by wrapping trainer.evaluate_loss and
+    # subtracts it from each epoch's time; a call that bypassed the
+    # attribute would leave validation inside the training rates
+    ds = tiny_dataset()
+    calls = []
+    real = trainer.evaluate_loss
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(trainer, "evaluate_loss", counted)
+    result = train(ds, quick_config(tmp_path, phase1_epochs=2, phase2_max_epochs=1))
+    assert [r.val_loss for r in result.records] == calls
+    assert len(calls) == 3
+
+
+def test_train_skips_validation_of_an_exploded_epoch(tmp_path, monkeypatch):
+    ds = tiny_dataset()
+    calls = []
+    real = trainer.evaluate_loss
+    monkeypatch.setattr(trainer, "evaluate_loss", lambda *args: calls.append(args) or real(*args))
+    config = quick_config(tmp_path, phase2_max_epochs=3, fault_hook=lambda phase, epoch: (phase, epoch) == (2, 2))
+    result = train(ds, config)
+    assert result.exploded_at == (2, 2)
+    assert len(calls) == len(result.records) == 2
 
 
 class TestRollback:
