@@ -1,35 +1,4 @@
 """taikoforge: learn to generate osu!Taiko charts from audio, and measure
 how human-like the resulting note patterning is."""
 
-from .chart import (
-    FRAME_MS,
-    NUM_CLASSES,
-    BinaryChart,
-    NoteClass,
-    NoteFrameSequence,
-    TimeGrid,
-    binarize,
-    ms_to_frame,
-    one_hot,
-)
-from .chart_io import parse_osu, parse_sm, write_osu
-from .errors import TaikoForgeError
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FRAME_MS",
-    "NUM_CLASSES",
-    "BinaryChart",
-    "NoteClass",
-    "NoteFrameSequence",
-    "TimeGrid",
-    "TaikoForgeError",
-    "binarize",
-    "ms_to_frame",
-    "one_hot",
-    "parse_osu",
-    "parse_sm",
-    "write_osu",
-    "__version__",
-]

@@ -3,8 +3,7 @@
 Pipeline: decode to mono 44.1kHz -> magnitude STFT on the 23ms grid ->
 triangular Mel filterbank (80 bands, 27.5 Hz..16 kHz) -> natural log with a
 1e-6 offset -> per-band zero-mean/unit-variance normalization fit on the
-training corpus. ``WINDOW_FRAMES`` is the length of the model's audio
-window, which the dataset slides over these features one frame at a time.
+training corpus.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ MEL_FMIN = 27.5
 MEL_FMAX = 16000.0
 LOG_OFFSET = 1e-6
 STD_FLOOR = 1e-8
-WINDOW_FRAMES = 16
 
 
 def _decode_pcm(raw: bytes, bits: int, fmt: int) -> np.ndarray:

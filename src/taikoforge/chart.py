@@ -53,21 +53,6 @@ def ms_to_frame(t_ms: float) -> int:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """The fixed 23ms frame grid over a song of known length."""
-
-    song_length_ms: int
-
-    def __post_init__(self):
-        if self.song_length_ms < 0:
-            raise ValueError("song length must be non-negative")
-
-    @property
-    def frame_count(self) -> int:
-        return self.song_length_ms // FRAME_MS
-
-
-@dataclass(frozen=True)
 class NoteFrameSequence:
     """A chart as one NoteClass per 23ms frame.
 
@@ -139,13 +124,6 @@ def binarize(chart: NoteFrameSequence) -> BinaryChart:
         prev[1:] = f[:-1]
     head = span & (f != prev)
     return BinaryChart((hit | head).astype(np.uint8))
-
-
-def one_hot(c: NoteClass) -> np.ndarray:
-    """7-vector with 1.0 at the class index."""
-    v = np.zeros(NUM_CLASSES, dtype=np.float32)
-    v[int(c)] = 1.0
-    return v
 
 
 def one_hot_rows(frames: np.ndarray) -> np.ndarray:

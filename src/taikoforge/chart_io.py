@@ -6,8 +6,9 @@ Two formats are handled:
   plus raw object metadata, and written back out. The writer/parser pair is
   a strict round trip: every generated chart survives write -> parse
   frame-for-frame.
-* StepMania ``.sm`` (single-BPM, 4-panel subset) — parsed straight to a
-  :class:`BinaryChart` for cross-game metric comparisons.
+* StepMania ``.sm`` (single-BPM, 4-panel subset) — the first ``#NOTES``
+  chart is parsed straight to a :class:`BinaryChart` for cross-game metric
+  comparisons.
 
 Taiko circle hitsound convention (community standard, fixed here so the
 round trip is a bijection): Kat iff whistle(2) or clap(8) bit set, Big iff
@@ -18,7 +19,7 @@ for small Don / big Don / small Kat / big Kat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .chart import (
     NoteClass,
     NoteFrameSequence,
     BinaryChart,
-    TimeGrid,
     ms_to_frame,
 )
 from .errors import EmptyChart, MalformedFile, MultiBpmUnsupported, OverlapError
@@ -69,15 +69,6 @@ class OsuChart:
                 raise MalformedFile(
                     f"object at {h.time_ms}ms ends at {h.end_time_ms}ms, before it starts"
                 )
-
-
-@dataclass(frozen=True)
-class SmChart:
-    """Single-BPM .sm subset: offset, BPM, and 4-column measure rows."""
-
-    offset_s: float
-    bpm: float
-    measures: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
 
 
 def _sections(text: str) -> dict[str, list[str]]:
@@ -227,7 +218,7 @@ def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSe
     last_ms = max((h.end_time_ms if h.end_time_ms is not None else h.time_ms) for h in objects) if objects else 0.0
     n_frames = ms_to_frame(last_ms) + 1 if objects else 0
     if song_length_ms is not None:
-        n_frames = max(n_frames, TimeGrid(song_length_ms).frame_count)
+        n_frames = max(n_frames, song_length_ms // FRAME_MS)
 
     frames = np.zeros(n_frames, dtype=np.uint8)
     claimed = np.zeros(n_frames, dtype=bool)
@@ -278,8 +269,8 @@ def write_osu(chart: NoteFrameSequence, bpm: float, audio_filename: str) -> str:
     """
     if len(chart) == 0:
         raise EmptyChart("cannot write a zero-frame chart")
-    if bpm <= 0:
-        raise ValueError(f"bpm must be positive, got {bpm}")
+    if not (math.isfinite(bpm) and bpm > 0):
+        raise ValueError(f"bpm must be finite and positive, got {bpm}")
     beat_length = 60000.0 / bpm
 
     events: list[tuple[int, str]] = []
@@ -332,12 +323,15 @@ def _read_sm_tags(text: str) -> dict[str, list[str]]:
     return tags
 
 
-def read_sm(text: str, difficulty: str | None = None) -> SmChart:
-    """Extract offset, the single BPM, and one #NOTES block from .sm text.
+def parse_sm(text: str) -> BinaryChart:
+    """Parse the first #NOTES chart of a .sm file to its discrete-input bit
+    sequence. Only the single-BPM 4-panel subset is supported.
 
-    ``difficulty`` selects among multiple #NOTES charts by the difficulty
-    class header field (e.g. "Challenge"); the first chart is used when not
-    given. Only the single-BPM 4-panel subset is supported.
+    Row r of a measure m with R rows falls at offset + (4m + 4r/R) beats. A
+    row containing any of {1, 2, 4} (tap, hold head, roll head) in any
+    column contributes a 1 at its quantized frame; hold tails ('3') and
+    mines ('M') are ignored. Rows before the audio start (negative time)
+    are dropped.
     """
     tags = _read_sm_tags(text)
     if "BPMS" not in tags or "NOTES" not in tags:
@@ -363,20 +357,11 @@ def read_sm(text: str, difficulty: str | None = None) -> SmChart:
         if not math.isfinite(offset_s):
             raise MalformedFile(f"#OFFSET must be finite, got {offset_s}")
 
-    chosen: str | None = None
-    for block in tags["NOTES"]:
-        header = block.split(":")
-        if len(header) < 6:
-            raise MalformedFile("#NOTES block needs 5 header fields")
-        diff_name = header[2].strip()
-        if difficulty is None or diff_name.lower() == difficulty.lower():
-            chosen = header[5]
-            break
-    if chosen is None:
-        raise MalformedFile(f"no #NOTES chart with difficulty {difficulty!r}")
-
-    measures: list[tuple[str, ...]] = []
-    for measure_text in chosen.split(","):
+    header = tags["NOTES"][0].split(":")
+    if len(header) < 6:
+        raise MalformedFile("#NOTES block needs 5 header fields")
+    measures: list[list[str]] = []
+    for measure_text in header[5].split(","):
         rows = []
         for raw in measure_text.splitlines():
             row = raw.strip()
@@ -386,45 +371,19 @@ def read_sm(text: str, difficulty: str | None = None) -> SmChart:
                 raise MalformedFile(f"bad note row: {row!r}")
             rows.append(row)
         if rows:
-            measures.append(tuple(rows))
-    return SmChart(offset_s, bpm, tuple(measures))
+            measures.append(rows)
 
-
-def sm_row_times_ms(sm: SmChart) -> list[float]:
-    """Timestamp of every row: offset + (measure*4 + row*4/R) beats."""
-    beat_ms = 60000.0 / sm.bpm
-    out = []
-    for m, rows in enumerate(sm.measures):
-        r_count = len(rows)
-        for r in range(r_count):
-            out.append(sm.offset_s * 1000.0 + (m * 4 + r * 4 / r_count) * beat_ms)
-    return out
-
-
-def parse_sm(text: str, difficulty: str | None = None) -> BinaryChart:
-    """Parse a .sm chart to its discrete-input bit sequence.
-
-    A row containing any of {1, 2, 4} (tap, hold head, roll head) in any
-    column contributes a 1 at its quantized frame; hold tails ('3') and
-    mines ('M') are ignored. Rows before the audio start (negative time)
-    are dropped.
-    """
-    sm = read_sm(text, difficulty)
-    times = sm_row_times_ms(sm)
-    beat_ms = 60000.0 / sm.bpm
-    chart_end_ms = sm.offset_s * 1000.0 + len(sm.measures) * 4 * beat_ms
+    beat_ms = 60000.0 / bpm
+    offset_ms = offset_s * 1000.0
+    chart_end_ms = offset_ms + len(measures) * 4 * beat_ms
     if chart_end_ms > MAX_SONG_MS:
         raise MalformedFile(f".sm chart ends at {chart_end_ms:.0f}ms, after the {MAX_SONG_MS}ms limit")
-    n_frames = ms_to_frame(max(chart_end_ms, 0.0)) + 1 if sm.measures else 0
+    n_frames = ms_to_frame(max(chart_end_ms, 0.0)) + 1 if measures else 0
 
     bits = np.zeros(n_frames, dtype=np.uint8)
-    i = 0
-    for rows in sm.measures:
-        for row in rows:
-            t = times[i]
-            i += 1
-            if t < 0:
-                continue
-            if any(ch in "124" for ch in row):
+    for m, rows in enumerate(measures):
+        for r, row in enumerate(rows):
+            t = offset_ms + (m * 4 + r * 4 / len(rows)) * beat_ms
+            if t >= 0 and any(ch in "124" for ch in row):
                 bits[ms_to_frame(t)] = 1
     return BinaryChart(bits)

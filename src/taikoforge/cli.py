@@ -9,6 +9,7 @@ TAIKO_FORGE_THREADS environment variable caps the per-song worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -148,8 +149,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.bpm <= 0:
-        raise InputError("--bpm must be positive")
+    if not (math.isfinite(args.bpm) and args.bpm > 0):
+        raise InputError(f"--bpm must be finite and positive, got {args.bpm}")
     params, _ = load_checkpoint(args.checkpoint)
     notes = generator.generate(params, args.audio, seed=args.seed, greedy=args.greedy)
     notes = generator.postprocess(notes)
@@ -176,6 +177,8 @@ def _pad(frames: np.ndarray, n: int) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
+    if args.draws < 1:
+        raise InputError(f"--draws must be at least 1, got {args.draws}")
     model_dir = Path(args.model_dir)
     human_dir = Path(args.human_dir)
     model_files = {p.stem: p for p in sorted(model_dir.glob("*.osu"))}
@@ -304,6 +307,10 @@ def main(argv=None) -> int:
         if value is not None and not Path(value).resolve().parent.is_dir():
             print(f"error: directory for --{attr} does not exist: {value}", file=sys.stderr)
             return 2
+    # numpy's generators take no negative seed; evaluate only hashes its seed
+    if args.command in ("build-dataset", "train", "generate") and args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
 
     try:
         return args.fn(args)

@@ -25,19 +25,24 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .audio import NUM_BANDS, WINDOW_FRAMES, NormStats, apply_norm, fit_norm
+from .audio import NUM_BANDS, NormStats, apply_norm, fit_norm
 from .chart import NUM_CLASSES, NoteClass, NoteFrameSequence, one_hot_rows
 from .errors import BadMagic, CorruptFile, TooFewCharts, TooShort, TruncatedFile, VersionMismatch
+from .neural import DEFAULT_ARCH
 
 DATASET_MAGIC = b"TKND"
 DATASET_VERSION = 2
 
-CONTEXT_FRAMES = WINDOW_FRAMES - 1  # 15
-TARGET_FRAMES = 4
-#: Frames a chart must span beyond the window for one example to exist.
-MIN_FRAMES = WINDOW_FRAMES + TARGET_FRAMES - 1  # 19
+#: Frames a chart must span for one example to exist: the model's audio
+#: window plus the targets past its end.
+MIN_FRAMES = DEFAULT_ARCH.frames + DEFAULT_ARCH.horizon - 1  # 19
 
-_LAYOUT = {"window": WINDOW_FRAMES, "context": CONTEXT_FRAMES, "horizon": TARGET_FRAMES, "classes": NUM_CLASSES}
+_LAYOUT = {
+    "window": DEFAULT_ARCH.frames,
+    "context": DEFAULT_ARCH.context,
+    "horizon": DEFAULT_ARCH.horizon,
+    "classes": NUM_CLASSES,
+}
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,9 @@ class Dataset:
         starts = np.arange(chart_of.size) + (MIN_FRAMES - 1) * chart_of
         starts.flags.writeable = False
         self.starts = starts
-        self.windows = _ExampleRows(starts, features, 0, WINDOW_FRAMES, one_hot=False)
-        self.contexts = _ExampleRows(starts, notes, 0, CONTEXT_FRAMES, one_hot=True)
-        self.targets = _ExampleRows(starts, notes, CONTEXT_FRAMES, TARGET_FRAMES, one_hot=True)
+        self.windows = _ExampleRows(starts, features, 0, DEFAULT_ARCH.frames, one_hot=False)
+        self.contexts = _ExampleRows(starts, notes, 0, DEFAULT_ARCH.context, one_hot=True)
+        self.targets = _ExampleRows(starts, notes, DEFAULT_ARCH.context, DEFAULT_ARCH.horizon, one_hot=True)
         self._count = chart_of.size
 
     def __len__(self) -> int:

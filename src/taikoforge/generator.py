@@ -37,21 +37,6 @@ from .neural import ModelParams, _gate_scale, _head, _lstm_step, song_trunk
 from .neural import forward
 
 
-def aggregate_distribution(predictions) -> np.ndarray:
-    """Sum a frame's prediction vectors and normalize to a distribution.
-
-    Softmax rows can never sum to zero, but if a degenerate aggregate shows
-    up anyway the frame falls back to a certain no-note.
-    """
-    stacked = np.sum(predictions, axis=0, dtype=np.float64)
-    total = stacked.sum()
-    if total <= 0:
-        fallback = np.zeros(NUM_CLASSES)
-        fallback[int(NoteClass.NO_NOTE)] = 1.0
-        return fallback
-    return stacked / total
-
-
 def generate_notes(
     params: ModelParams,
     features: np.ndarray,
@@ -113,7 +98,7 @@ def generate_notes(
         # frame f+1 has now heard from every window that will ever see it;
         # a sample is the draw ``rng.choice(NUM_CLASSES, p=dist)`` makes
         t = f + 1
-        dist = aggregate_distribution(sums[t : t + 1])
+        dist = sums[t] / sums[t].sum()
         if greedy:
             cls = int(dist.argmax())
         else:

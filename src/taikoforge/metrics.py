@@ -171,17 +171,12 @@ class MetricsReport:
         return out.getvalue()
 
 
-def distribution_table(rows: dict[str, np.ndarray], reference: bool = True) -> str:
+def distribution_table(rows: dict[str, np.ndarray]) -> str:
     """Aligned note-type distribution table, one row per label, with the
     ranked-human reference row appended for comparison."""
     labels = [c.name for c in NoteClass]
     width = max(*(len(k) for k in rows), len("human reference"), 5)
     lines = [f"{'':<{width}}  " + "  ".join(f"{l:>9}" for l in labels)]
-    for name, dist in rows.items():
+    for name, dist in [*rows.items(), ("human reference", HUMAN_TAIKO_REFERENCE_PCT)]:
         lines.append(f"{name:<{width}}  " + "  ".join(f"{v:>8.3f}%" for v in dist))
-    if reference:
-        lines.append(
-            f"{'human reference':<{width}}  "
-            + "  ".join(f"{v:>8.3f}%" for v in HUMAN_TAIKO_REFERENCE_PCT)
-        )
     return "\n".join(lines)

@@ -792,14 +792,8 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(
-    path: str | Path, dtype=np.float32, expect: ArchConfig | None = None
-) -> tuple[ModelParams, AdamState]:
-    """Load a checkpoint, verifying magic, version, shapes, and checksum.
-
-    Pass ``expect`` to reject checkpoints trained with different
-    architecture constants than the caller is built for.
-    """
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
+    """Load a float32 checkpoint, verifying magic, version, shapes, and checksum."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a model checkpoint")
@@ -816,10 +810,6 @@ def load_checkpoint(
         arch = ArchConfig.from_tuple(r.unpack("<8I"))
     except ValueError as exc:
         raise ShapeMismatch(f"{path}: invalid architecture constants") from exc
-    if expect is not None and arch != expect:
-        raise ShapeMismatch(
-            f"{path}: checkpoint architecture {arch.as_tuple()} does not match expected {expect.as_tuple()}"
-        )
     mean = np.frombuffer(r.take(8 * arch.bands), dtype="<f8").copy()
     std = np.frombuffer(r.take(8 * arch.bands), dtype="<f8").copy()
     (adam_t,) = r.unpack("<Q")
@@ -837,7 +827,7 @@ def load_checkpoint(
             raise CorruptFile(f"{path}: array {name!r} declares {ndim} axes")
         shape = r.unpack(f"<{ndim}I")
         size = math.prod(shape)  # exact: np.prod wraps past 2**63
-        arrays[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).astype(dtype)
+        arrays[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).astype(np.float32)
     if r.pos != len(r.data):
         raise TruncatedFile(f"{path}: trailing bytes after declared arrays")
     stored_crc = struct.unpack("<I", data[-4:])[0]

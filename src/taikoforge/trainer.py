@@ -17,6 +17,7 @@ layers and head.
 
 from __future__ import annotations
 
+import math
 import shutil
 import time
 import warnings
@@ -33,7 +34,6 @@ from .neural import (
     DEFAULT_ARCH,
     TRUNK_CHUNK,
     AdamState,
-    ArchConfig,
     ModelParams,
     adam_step,
     backward,
@@ -64,8 +64,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.checkpoint_dir = Path(self.checkpoint_dir)
-        if self.phase1_lr <= 0 or self.phase2_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.phase1_lr, self.phase2_lr)):
+            raise ValueError("learning rates must be finite and positive")
         if self.phase2_lr >= self.phase1_lr:
             raise ValueError("phase-2 learning rate must be below phase 1's")
         if self.phase1_batch < 1:
@@ -88,10 +88,6 @@ class EpochRecord:
             f"train {self.train_loss:.6f}  val {self.val_loss:.6f}  "
             f"{self.wall_s:.1f}s"
         )
-
-    def key(self) -> tuple:
-        """The deterministic part (wall time excluded)."""
-        return (self.phase, self.epoch, self.train_loss, self.val_loss)
 
 
 @dataclass
@@ -151,7 +147,6 @@ def _params_finite(params: ModelParams) -> bool:
 def train(
     dataset: Dataset,
     config: TrainConfig,
-    arch: ArchConfig = DEFAULT_ARCH,
     log: Callable[[str], None] | None = None,
 ) -> TrainResult:
     """Run the full schedule and return the surviving checkpoint.
@@ -164,7 +159,7 @@ def train(
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
 
-    params = init_params(arch, seed=config.seed, norm=dataset.norm)
+    params = init_params(DEFAULT_ARCH, seed=config.seed, norm=dataset.norm)
     state = init_adam_state(params)
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")

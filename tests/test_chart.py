@@ -8,10 +8,8 @@ from taikoforge.chart import (
     BinaryChart,
     NoteClass,
     NoteFrameSequence,
-    TimeGrid,
     binarize,
     ms_to_frame,
-    one_hot,
     one_hot_rows,
 )
 
@@ -36,27 +34,19 @@ class TestMsToFrame:
             ms_to_frame(-1)
 
 
-def test_time_grid_frame_count():
-    assert TimeGrid(0).frame_count == 0
-    assert TimeGrid(2300).frame_count == 100
-    assert TimeGrid(2299).frame_count == 99
-    with pytest.raises(ValueError):
-        TimeGrid(-1)
-
-
 class TestOneHot:
     def test_no_note(self):
-        assert one_hot(NoteClass.NO_NOTE).tolist() == [1, 0, 0, 0, 0, 0, 0]
+        assert one_hot_rows(NoteClass.NO_NOTE).tolist() == [1, 0, 0, 0, 0, 0, 0]
 
     def test_small_kat(self):
-        assert one_hot(NoteClass.SMALL_KAT).tolist() == [0, 0, 0, 1, 0, 0, 0]
+        assert one_hot_rows(NoteClass.SMALL_KAT).tolist() == [0, 0, 0, 1, 0, 0, 0]
 
     def test_denden(self):
-        assert one_hot(NoteClass.DENDEN).tolist() == [0, 0, 0, 0, 0, 0, 1]
+        assert one_hot_rows(NoteClass.DENDEN).tolist() == [0, 0, 0, 0, 0, 0, 1]
 
     @pytest.mark.parametrize("cls", list(NoteClass))
     def test_sums_to_one(self, cls):
-        assert one_hot(cls).sum() == 1.0
+        assert one_hot_rows(cls).sum() == 1.0
 
     def test_rows(self):
         rows = one_hot_rows(np.array([0, 3, 6]))

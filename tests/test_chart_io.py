@@ -1,17 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taikoforge.chart import FRAME_MS, NoteClass, NoteFrameSequence
-from taikoforge.chart_io import (
-    SmChart,
-    parse_osu,
-    parse_sm,
-    read_sm,
-    sm_row_times_ms,
-    write_osu,
-)
+from taikoforge.chart_io import parse_osu, parse_sm, write_osu
 from taikoforge.errors import (
     EmptyChart,
     MalformedFile,
@@ -87,6 +82,11 @@ class TestParseOsu:
     def test_audio_length_extends_output(self):
         notes, _ = parse_osu(osu_text(["256,192,0,1,0,0:0:0:0:"]), song_length_ms=2300)
         assert len(notes) == 100
+
+    def test_audio_length_alone_sets_frame_count(self):
+        for length_ms, frames in [(0, 0), (2299, 99), (2300, 100)]:
+            notes, _ = parse_osu(osu_text([]), song_length_ms=length_ms)
+            assert len(notes) == frames
 
     def test_notes_extent_wins_over_short_audio(self):
         notes, _ = parse_osu(osu_text(["256,192,2300,1,0,0:0:0:0:"]), song_length_ms=230)
@@ -169,6 +169,12 @@ class TestWriteOsu:
         frames[8:13] = int(NoteClass.DRUMROLL)
         text = write_osu(NoteFrameSequence(frames), 120.0, "a.wav")
         assert "256,192,184,2,0,276" in text
+
+    @pytest.mark.parametrize("bpm", [0.0, -120.0, float("nan"), float("inf")])
+    def test_bpm_must_be_finite_and_positive(self, bpm):
+        chart = NoteFrameSequence(np.array([int(NoteClass.SMALL_DON)], dtype=np.uint8))
+        with pytest.raises(ValueError, match="finite and positive"):
+            write_osu(chart, bpm, "a.wav")
 
     def test_empty_chart_rejected(self):
         with pytest.raises(EmptyChart):
@@ -280,11 +286,11 @@ class TestParseSm:
             parse_sm("#BPMS:0.000=120.000;")
 
     def test_difficulty_selection(self):
-        extra = SM_BODY.rstrip() + "\n#NOTES:\n dance-single:\n a:\n Hard:\n 5:\n 0:\n1111\n;\n"
-        assert parse_sm(extra, difficulty="Hard").bits[0] == 1
-        assert parse_sm(extra, difficulty="Challenge").bits.sum() == 2
-        with pytest.raises(MalformedFile):
-            parse_sm(extra, difficulty="Beginner")
+        # the first #NOTES chart is scored, whatever its difficulty
+        hard = "#NOTES:\n dance-single:\n a:\n Hard:\n 5:\n 0:\n0000\n1111\n0000\n0000\n;\n"
+        assert parse_sm(SM_BODY.rstrip() + "\n" + hard) == parse_sm(SM_BODY)
+        head, notes = SM_BODY.split("#NOTES:", 1)
+        assert np.flatnonzero(parse_sm(head + hard + "#NOTES:" + notes).bits).tolist() == [21]
 
     def test_offset_shifts_rows_later(self):
         text = SM_BODY.replace("#OFFSET:0.000;", "#OFFSET:1.000;")
@@ -300,23 +306,47 @@ class TestParseSm:
         assert bits[39] == 1
 
     def test_row_times_strictly_increase(self):
-        sm = read_sm(SM_BODY)
-        times = sm_row_times_ms(sm)
-        assert all(b > a for a, b in zip(times, times[1:]))
+        # rows 125 ms apart at 120 BPM, a tap on each: one bit per row, in row order
+        text = SM_BODY.replace("1000\n0000\n0200\n0000\n", "1000\n" * 16)
+        assert np.flatnonzero(parse_sm(text).bits).tolist() == [125 * r // FRAME_MS for r in range(16)]
 
 
-@settings(max_examples=25)
+def sm_frame_oracle(measures, bpm: int, offset: Fraction) -> list[int]:
+    """Bits of a .sm chart from exact rational row times."""
+    beat_ms = Fraction(60000, bpm)
+    offset_ms = offset * 1000
+    end_ms = offset_ms + 4 * len(measures) * beat_ms
+    bits = [0] * (max(end_ms, 0) // FRAME_MS + 1)
+    for m, rows in enumerate(measures):
+        for r, row in enumerate(rows):
+            t = offset_ms + (4 * m + Fraction(4 * r, len(rows))) * beat_ms
+            if t >= 0 and set(row) & set("124"):
+                bits[t // FRAME_MS] = 1
+    return bits
+
+
+@settings(max_examples=50)
 @given(
-    st.integers(2, 16).flatmap(
-        lambda r: st.lists(
-            st.lists(st.sampled_from(["0000", "1000", "0110", "000M"]), min_size=r, max_size=r),
-            min_size=1,
-            max_size=4,
-        )
+    st.lists(
+        st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
+            lambda r: st.lists(
+                st.sampled_from(["0000", "1000", "0110", "0020", "3000", "000M", "0004"]), min_size=r, max_size=r
+            )
+        ),
+        min_size=1,
+        max_size=4,
     ),
-    st.floats(60.0, 240.0),
+    # beat lengths of whole milliseconds, power-of-two row counts and
+    # eighth-second offsets keep every float row time exact
+    st.sampled_from([60, 75, 80, 96, 100, 120, 125, 150, 160, 200, 240]),
+    st.integers(-16, 16),
 )
-def test_sm_times_monotone_property(measures, bpm):
-    sm = SmChart(0.0, bpm, tuple(tuple(m) for m in measures))
-    times = sm_row_times_ms(sm)
-    assert all(b > a for a, b in zip(times, times[1:]))
+def test_sm_bits_match_frame_oracle_property(measures, bpm, offset_eighths):
+    offset = Fraction(offset_eighths, 8)
+    text = (
+        f"#OFFSET:{float(offset)};\n#BPMS:0.000={bpm};\n"
+        "#NOTES:\n dance-single:\n x:\n Challenge:\n 9:\n 0:\n"
+        + ",\n".join("\n".join(rows) for rows in measures)
+        + "\n;\n"
+    )
+    assert parse_sm(text).bits.tolist() == sm_frame_oracle(measures, bpm, offset)

@@ -14,6 +14,12 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def assert_one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
 @pytest.fixture
 def built_dataset(tiny_corpus, tmp_path):
     charts_dir, audio_dir = tiny_corpus
@@ -68,6 +74,13 @@ class TestBuildDataset:
         assert code == 2
         assert "song_a.osu" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tiny_corpus, tmp_path, capsys):
+        charts_dir, audio_dir = tiny_corpus
+        out = tmp_path / "x.tknd"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out, "--seed", -1]) == 2
+        assert_one_line_error(capsys, "--seed")
+        assert not out.exists()
+
     def test_missing_out_directory_exits_2(self, tiny_corpus, tmp_path, capsys):
         charts_dir, audio_dir = tiny_corpus
         code = run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", tmp_path / "nodir" / "x.tknd"])
@@ -82,9 +95,16 @@ class TestTrain:
 
     def test_invalid_lr_exits_2_without_training(self, built_dataset, tmp_path, capsys):
         out_dir = tmp_path / "bad"
-        code = run(["train", "--dataset", built_dataset, "--out-dir", out_dir, "--phase1-lr", 0])
-        assert code == 2
-        assert not (out_dir / "final.tknm").exists()
+        for lr in (0, "nan"):
+            assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir, "--phase1-lr", lr]) == 2
+            assert_one_line_error(capsys, "learning rates must be finite and positive")
+            assert not out_dir.exists()
+
+    def test_negative_seed_exits_2(self, built_dataset, tmp_path, capsys):
+        out_dir = tmp_path / "bad"
+        assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir, "--seed", -1]) == 2
+        assert_one_line_error(capsys, "--seed")
+        assert not out_dir.exists()
 
     def test_corrupt_manifest_exits_2(self, built_dataset, tmp_path, capsys):
         data = bytearray(built_dataset.read_bytes())
@@ -143,12 +163,24 @@ class TestGenerate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bad_bpm_exits_2(self, trained_checkpoint, tmp_path):
+    def test_bad_bpm_exits_2(self, trained_checkpoint, tmp_path, capsys):
         wav = tmp_path / "d.wav"
         write_wav_pcm16(wav, np.zeros(44100))
-        code = run(["generate", "--checkpoint", trained_checkpoint, "--audio", wav, "--out", tmp_path / "o.osu", "--bpm", -3])
-        assert code == 2
+        out = tmp_path / "o.osu"
+        for bpm in (-3, "nan", "inf"):
+            assert run(["generate", "--checkpoint", trained_checkpoint, "--audio", wav, "--out", out, "--bpm", bpm]) == 2
+            assert_one_line_error(capsys, "--bpm")
+            assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, init_params(DEFAULT_ARCH, seed=0))
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        out = tmp_path / "o.osu"
+        assert run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", out, "--seed", -1]) == 2
+        assert_one_line_error(capsys, "--seed")
+        assert not out.exists()
 
     def test_non_utf8_array_name_exits_2(self, tmp_path, capsys):
         checkpoint = tmp_path / "m.tknm"
@@ -245,6 +277,15 @@ class TestEvaluate:
         assert run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir]) == 2
         err = capsys.readouterr().err
         assert "s1" in err and "empty" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("draws", [0, -2])
+    def test_draws_below_one_exits_2(self, tmp_path, capsys, draws):
+        model_dir, human_dir = self.make_dirs(tmp_path)
+        csv_path = tmp_path / "out.csv"
+        code = run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir, "--csv", csv_path, "--draws", draws])
+        assert code == 2
+        assert_one_line_error(capsys, "--draws")
+        assert not csv_path.exists()
 
     def test_unpaired_songs_listed(self, tmp_path, capsys):
         model_dir, human_dir = self.make_dirs(tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from taikoforge.audio import NUM_BANDS, NormStats, apply_norm
-from taikoforge.chart import NoteClass, NoteFrameSequence, one_hot, one_hot_rows
+from taikoforge.chart import NoteClass, NoteFrameSequence, one_hot_rows
 from taikoforge.dataset import (
     DATASET_VERSION,
     MIN_FRAMES,
@@ -77,9 +77,9 @@ class TestBuildExamples:
             assert w[i, 0, 0] == pytest.approx(first + i * step, rel=1e-5)
             assert w[i, 15, 0] == pytest.approx(first + (i + 15) * step, rel=1e-5)
             for j in range(15):
-                assert np.array_equal(c[i, j], one_hot(notes[i + j]))
+                assert np.array_equal(c[i, j], one_hot_rows(notes[i + j]))
             for j in range(4):
-                assert np.array_equal(t[i, j], one_hot(notes[i + 15 + j]))
+                assert np.array_equal(t[i, j], one_hot_rows(notes[i + 15 + j]))
 
     def test_all_no_note_targets(self):
         _, _, t = examples_of(np.zeros((30, NUM_BANDS)), chart_of([0] * 30))
@@ -92,7 +92,7 @@ class TestBuildExamples:
         w, c, t = examples_of(feats, notes)
         assert w.shape[0] == 25 - 18
         # the padded tail reads as no-note
-        assert np.array_equal(t[-1, -1], one_hot(NoteClass.NO_NOTE))
+        assert np.array_equal(t[-1, -1], one_hot_rows(NoteClass.NO_NOTE))
 
     def test_shorter_features_padded_with_zero_frames(self):
         feats = np.random.default_rng(2).normal(size=(20, NUM_BANDS))

@@ -3,7 +3,7 @@ import pytest
 
 from taikoforge.chart import HIT_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.errors import ShapeMismatch
-from taikoforge.generator import aggregate_distribution, generate_notes, postprocess
+from taikoforge.generator import generate_notes, postprocess
 from taikoforge.neural import DEFAULT_ARCH, TRUNK_CHUNK, ArchConfig, forward, init_params
 
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
@@ -15,44 +15,6 @@ def mini_params(seed=0):
 
 def chart_of(classes) -> NoteFrameSequence:
     return NoteFrameSequence(np.array(classes, dtype=np.uint8))
-
-
-class TestAggregation:
-    def test_four_identical_one_hots(self):
-        vec = np.zeros(7)
-        vec[int(NoteClass.SMALL_DON)] = 1.0
-        dist = aggregate_distribution([vec] * 4)
-        assert dist[int(NoteClass.SMALL_DON)] == 1.0
-        assert dist.sum() == 1.0
-        # sampling a degenerate distribution is certain
-        rng = np.random.default_rng(0)
-        assert all(rng.choice(7, p=dist) == 1 for _ in range(10))
-
-    def test_split_votes_average(self):
-        a = np.zeros(7)
-        a[0] = 1.0
-        b = np.zeros(7)
-        b[1] = 1.0
-        dist = aggregate_distribution([a, a, b, b])
-        assert dist[0] == 0.5
-        assert dist[1] == 0.5
-        assert dist[2:].sum() == 0.0
-
-    def test_fewer_than_four_predictions(self):
-        a = np.full(7, 1.0 / 7.0)
-        dist = aggregate_distribution([a])
-        assert np.allclose(dist, 1.0 / 7.0)
-
-    def test_degenerate_zero_sum_falls_back_to_no_note(self):
-        dist = aggregate_distribution([np.zeros(7)])
-        assert dist[int(NoteClass.NO_NOTE)] == 1.0
-
-    def test_normalized(self):
-        rng = np.random.default_rng(1)
-        vectors = [rng.random(7) for _ in range(4)]
-        dist = aggregate_distribution(vectors)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (dist >= 0).all()
 
 
 def reference_generate_notes(params, features, seed=0, greedy=False, contexts=None):
@@ -78,7 +40,8 @@ def reference_generate_notes(params, features, seed=0, greedy=False, contexts=No
             if i + lead_in + k < n:
                 pending[i + lead_in + k].append(row)
         t = i + lead_in
-        dist = aggregate_distribution(pending[t])
+        stacked = np.sum(pending[t], axis=0, dtype=np.float64)
+        dist = stacked / stacked.sum()
         cls = int(dist.argmax()) if greedy else int(rng.choice(7, p=dist))
         notes[t] = cls
         context[t, cls] = 1.0

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -624,11 +627,18 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_architecture_mismatch(self, tmp_path):
+        # the header declares a wider LSTM than the arrays hold; the CRC is
+        # recomputed so that only the shapes disagree
         params, state = self._params()
         path = tmp_path / "model.tknm"
         save_checkpoint(path, params, state)
+        data = bytearray(path.read_bytes())
+        hidden_at = 8 + 4 * 5  # after magic and version: the sixth constant
+        data[hidden_at : hidden_at + 4] = struct.pack("<I", MINI.hidden + 1)
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+        path.write_bytes(bytes(data))
         with pytest.raises(ShapeMismatch):
-            load_checkpoint(path, expect=DEFAULT_ARCH)
+            load_checkpoint(path)
 
 
 def test_model_params_rejects_wrong_shapes():

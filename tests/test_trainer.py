@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             quick_config(tmp_path, phase1_lr=0.0)
 
+    @pytest.mark.parametrize("name", ["phase1_lr", "phase2_lr"])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, tmp_path, name, lr):
+        with pytest.raises(ValueError, match="finite"):
+            quick_config(tmp_path, **{name: lr})
+
     def test_phase2_must_be_slower(self, tmp_path):
         with pytest.raises(ValueError):
             quick_config(tmp_path, phase2_lr=1e-3)
@@ -76,7 +82,9 @@ class TestTrain:
         ds = tiny_dataset()
         r1 = train(ds, quick_config(tmp_path / "a", phase2_max_epochs=1))
         r2 = train(ds, quick_config(tmp_path / "b", phase2_max_epochs=1))
-        assert [r.key() for r in r1.records] == [r.key() for r in r2.records]
+        assert [(r.phase, r.epoch, r.train_loss, r.val_loss) for r in r1.records] == [
+            (r.phase, r.epoch, r.train_loss, r.val_loss) for r in r2.records
+        ]
         assert r1.final_path.read_bytes() == r2.final_path.read_bytes()
 
     def test_epoch_log_lines(self, tmp_path):
