@@ -259,6 +259,12 @@ def _span_end_ms(a: int, b: int) -> int:
     return b * FRAME_MS if b > a else a * FRAME_MS + FRAME_MS // 2
 
 
+def valid_bpm(bpm: float) -> bool:
+    """Finite and positive, with a finite beat length 60000/bpm: a subnormal
+    BPM is positive, but its beat length is infinite."""
+    return math.isfinite(bpm) and bpm > 0 and math.isfinite(60000.0 / bpm)
+
+
 def write_osu(chart: NoteFrameSequence, bpm: float, audio_filename: str) -> str:
     """Render a chart as .osu text.
 
@@ -269,8 +275,8 @@ def write_osu(chart: NoteFrameSequence, bpm: float, audio_filename: str) -> str:
     """
     if len(chart) == 0:
         raise EmptyChart("cannot write a zero-frame chart")
-    if not (math.isfinite(bpm) and bpm > 0):
-        raise ValueError(f"bpm must be finite and positive, got {bpm}")
+    if not valid_bpm(bpm):
+        raise ValueError(f"bpm must be finite and positive with a finite beat length, got {bpm}")
     beat_length = 60000.0 / bpm
 
     events: list[tuple[int, str]] = []
@@ -344,8 +350,7 @@ def parse_sm(text: str) -> BinaryChart:
         bpm = float(bpm_entries[0].split("=")[1])
     except (IndexError, ValueError) as exc:
         raise MalformedFile(f"bad #BPMS entry: {bpm_entries[0]!r}") from exc
-    # a subnormal BPM is positive, but its beat length 60000/bpm is infinite
-    if not (math.isfinite(bpm) and bpm > 0 and math.isfinite(60000.0 / bpm)):
+    if not valid_bpm(bpm):
         raise MalformedFile(f"BPM must be finite and positive with a finite beat length, got {bpm}")
 
     offset_s = 0.0

@@ -2,18 +2,14 @@
 
 Subcommands: build-dataset, train, generate, evaluate, stats. Exit codes:
 0 success, 2 usage or input error, 3 internal error. All randomness runs
-through explicit --seed flags so reruns are bit-identical. The
-TAIKO_FORGE_THREADS environment variable caps the per-song worker count.
+through explicit --seed flags so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,26 +25,6 @@ DEFAULT_SEED = 1337
 
 class InputError(TaikoForgeError):
     """Bad user input discovered after argument parsing."""
-
-
-def worker_count() -> int:
-    n = os.cpu_count() or 1
-    cap = os.environ.get("TAIKO_FORGE_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise InputError(f"TAIKO_FORGE_THREADS must be an integer, got {cap!r}")
-    return n
-
-
-def _map_songs(fn, items):
-    """Apply fn over per-song work items, in parallel but order-preserving."""
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _osu_files(directory: Path) -> list[Path]:
@@ -92,10 +68,9 @@ def cmd_build_dataset(args) -> int:
         text = _read_chart(chart_path)
         notes, _ = _with_file_context(chart_path, lambda: chart_io.parse_osu(text, song_length_ms=length_ms))
         feats = audio.log_mel_frames(samples, rate)
-        return chart_path.stem, feats, notes
+        return feats, notes
 
-    prepared = _map_songs(prepare, chart_files)
-    charts = {cid: (feats, notes) for cid, feats, notes in prepared}
+    charts = {p.stem: prepare(p) for p in chart_files}
     ds = dataset.assemble(charts, ratio=args.ratio, seed=args.seed)
     dataset.save_dataset(args.out, ds)
 
@@ -149,8 +124,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not (math.isfinite(args.bpm) and args.bpm > 0):
-        raise InputError(f"--bpm must be finite and positive, got {args.bpm}")
+    if not chart_io.valid_bpm(args.bpm):
+        raise InputError(f"--bpm must be finite and positive with a finite beat length, got {args.bpm}")
     params, _ = load_checkpoint(args.checkpoint)
     notes = generator.generate(params, args.audio, seed=args.seed, greedy=args.greedy)
     notes = generator.postprocess(notes)
@@ -206,7 +181,7 @@ def cmd_evaluate(args) -> int:
         ev = metrics.evaluate_pair(song, model_bits, human_bits, seed=args.seed, draws=args.draws)
         return ev, model_notes, human_notes
 
-    results = _map_songs(eval_song, sorted(model_files))
+    results = [eval_song(song) for song in sorted(model_files)]
     report = metrics.MetricsReport([ev for ev, _, _ in results])
     print(report.to_text())
 
@@ -236,7 +211,7 @@ def cmd_stats(args) -> int:
         notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(text))
         return path.stem, metrics.note_distribution(notes)
 
-    rows = dict(_map_songs(load, files))
+    rows = dict(load(path) for path in files)
     if len(rows) > 1:
         rows["all charts"] = np.mean(list(rows.values()), axis=0)
     print(metrics.distribution_table(rows))

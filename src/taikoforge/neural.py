@@ -64,6 +64,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .audio import NormStats
+from .chart import NUM_CLASSES
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -101,12 +102,14 @@ class ArchConfig:
     conv2_filters: int = 32
     seg_features: int = 8
     hidden: int = 64
-    classes: int = 7
+    classes: int = NUM_CLASSES
     horizon: int = 4
 
     def __post_init__(self):
         if self.frames % 4 or self.bands % 4:
             raise ValueError("frames and bands must be divisible by 4 (two 2x2 pools)")
+        if self.classes != NUM_CLASSES:
+            raise ValueError(f"classes must be the {NUM_CLASSES} chart note classes, got {self.classes}")
         if self.seg_features != self.classes + 1:
             raise ValueError("segment features must be note classes + 1 bias channel")
 

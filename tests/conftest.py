@@ -11,6 +11,7 @@ import pytest
 from taikoforge.audio import SAMPLE_RATE
 from taikoforge.chart import FRAME_MS, NUM_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.chart_io import write_osu
+from taikoforge.neural import ArchConfig, init_params, save_checkpoint
 
 
 def write_wav_pcm16(path, samples, rate=SAMPLE_RATE, channels=1):
@@ -63,6 +64,16 @@ def click_audio_for(chart: NoteFrameSequence) -> np.ndarray:
         start = int(frame) * FRAME_MS * SAMPLE_RATE // 1000
         samples[start : start + burst_len] += burst
     return samples
+
+
+def save_checkpoint_with_classes(path, arch: ArchConfig, classes: int):
+    """Save a checkpoint whose header and arrays agree on `classes` note
+    classes. ArchConfig refuses any count but the chart's seven, so the count
+    is set on a copy of arch, past that check."""
+    arch = ArchConfig(*arch.as_tuple())
+    object.__setattr__(arch, "classes", classes)
+    object.__setattr__(arch, "seg_features", classes + 1)
+    save_checkpoint(path, init_params(arch, seed=0))
 
 
 @pytest.fixture

@@ -170,7 +170,7 @@ class TestWriteOsu:
         text = write_osu(NoteFrameSequence(frames), 120.0, "a.wav")
         assert "256,192,184,2,0,276" in text
 
-    @pytest.mark.parametrize("bpm", [0.0, -120.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bpm", [0.0, -120.0, float("nan"), float("inf"), 1e-310])
     def test_bpm_must_be_finite_and_positive(self, bpm):
         chart = NoteFrameSequence(np.array([int(NoteClass.SMALL_DON)], dtype=np.uint8))
         with pytest.raises(ValueError, match="finite and positive"):

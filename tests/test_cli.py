@@ -7,7 +7,7 @@ from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
 from taikoforge.neural import DEFAULT_ARCH, init_params, save_checkpoint
 
-from conftest import periodic_chart, write_wav_pcm16
+from conftest import periodic_chart, save_checkpoint_with_classes, write_wav_pcm16
 
 
 def run(argv):
@@ -62,6 +62,15 @@ class TestBuildDataset:
             assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out, "--seed", 7]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_former_thread_variable_is_ignored(self, tiny_corpus, tmp_path, monkeypatch):
+        # songs are prepared one after another; no environment variable sizes a pool
+        charts_dir, audio_dir = tiny_corpus
+        plain, with_variable = tmp_path / "plain.tknd", tmp_path / "with_variable.tknd"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", plain]) == 0
+        monkeypatch.setenv("TAIKO_FORGE_THREADS", "banana")
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", with_variable]) == 0
+        assert with_variable.read_bytes() == plain.read_bytes()
 
     def test_nonexistent_dir_exits_2(self, tmp_path, capsys):
         code = run(["build-dataset", "--charts", tmp_path / "nope", "--audio", tmp_path, "--out", tmp_path / "x"])
@@ -167,7 +176,7 @@ class TestGenerate:
         wav = tmp_path / "d.wav"
         write_wav_pcm16(wav, np.zeros(44100))
         out = tmp_path / "o.osu"
-        for bpm in (-3, "nan", "inf"):
+        for bpm in (-3, "nan", "inf", "1e-310"):
             assert run(["generate", "--checkpoint", trained_checkpoint, "--audio", wav, "--out", out, "--bpm", bpm]) == 2
             assert_one_line_error(capsys, "--bpm")
             assert not out.exists()
@@ -194,6 +203,15 @@ class TestGenerate:
         assert code == 2
         err = capsys.readouterr().err
         assert "UTF-8" in err and "Traceback" not in err
+
+    def test_checkpoint_with_other_class_count_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint_with_classes(checkpoint, DEFAULT_ARCH, classes=5)
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 2
+        assert_one_line_error(capsys, "architecture")
 
     @pytest.mark.parametrize("rate", [8000, 44100])
     def test_wav_without_a_whole_sample_exits_2(self, tmp_path, capsys, rate):
@@ -347,10 +365,3 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--nonsense"])
         assert exc.value.code == 2
-
-    def test_thread_env_var(self, monkeypatch):
-        monkeypatch.setenv("TAIKO_FORGE_THREADS", "1")
-        assert cli.worker_count() == 1
-        monkeypatch.setenv("TAIKO_FORGE_THREADS", "banana")
-        with pytest.raises(cli.InputError):
-            cli.worker_count()

@@ -42,6 +42,8 @@ from taikoforge.neural import (
     trunk,
 )
 
+from conftest import save_checkpoint_with_classes
+
 # small enough that finite differences over every parameter stay cheap
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
@@ -637,6 +639,13 @@ class TestCheckpoint:
         data[hidden_at : hidden_at + 4] = struct.pack("<I", MINI.hidden + 1)
         data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
         path.write_bytes(bytes(data))
+        with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
+
+    def test_class_count_other_than_the_charts(self, tmp_path):
+        # arrays and header agree on 5 classes, but a chart has 7
+        path = tmp_path / "model.tknm"
+        save_checkpoint_with_classes(path, MINI, classes=5)
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
 
