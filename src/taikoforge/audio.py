@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .chart import FRAME_MS, MAX_SONG_MS
-from .errors import CorruptFile, EmptyCorpus, UnsupportedCodec
+from .errors import CorruptFile, EmptyCorpus, ShapeMismatch, UnsupportedCodec
 
 SAMPLE_RATE = 44100
 WINDOW_SAMPLES = round(FRAME_MS * SAMPLE_RATE / 1000)  # 1014
@@ -173,7 +173,8 @@ def mel_project(spectra: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-band mean and (floored) standard deviation from the training corpus."""
+    """Per-band mean and (floored) standard deviation from the training corpus.
+    The mean must be finite and the std finite and strictly positive."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -183,8 +184,8 @@ class NormStats:
         std = np.ascontiguousarray(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean/std must be matching 1-d arrays")
-        if not (std > 0).all():
-            raise ValueError("std must be strictly positive")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise ValueError("normalization mean must be finite and std finite and strictly positive")
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -208,7 +209,10 @@ def fit_norm(frame_blocks: Iterable[np.ndarray]) -> NormStats:
 
 
 def apply_norm(frames: np.ndarray, stats: NormStats) -> np.ndarray:
-    return (np.asarray(frames, dtype=np.float64) - stats.mean) / stats.std
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1:] != stats.mean.shape:
+        raise ShapeMismatch(f"features have {frames.shape[-1]} bands, normalization stats {len(stats.mean)}")
+    return (frames - stats.mean) / stats.std
 
 
 #: Frames per block of :func:`log_mel_frames`. A block's STFT holds its

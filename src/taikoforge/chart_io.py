@@ -3,9 +3,9 @@
 Two formats are handled:
 
 * osu!Taiko ``.osu`` — parsed to a frame-aligned :class:`NoteFrameSequence`
-  plus raw object metadata, and written back out. The writer/parser pair is
-  a strict round trip: every generated chart survives write -> parse
-  frame-for-frame.
+  plus its audio name and timing points, and written back out. The
+  writer/parser pair is a strict round trip: every generated chart survives
+  write -> parse frame-for-frame.
 * StepMania ``.sm`` (single-BPM, 4-panel subset) — the first ``#NOTES``
   chart is parsed straight to a :class:`BinaryChart` for cross-game metric
   comparisons.
@@ -34,8 +34,8 @@ from .chart import (
 )
 from .errors import EmptyChart, MalformedFile, MultiBpmUnsupported, OverlapError
 
-# Fixed slider velocity used when a slider carries no explicit end time:
-# 1.4 multiplier at 100 pixels per beat.
+# Fixed slider velocity that turns a slider's pixel length into its
+# duration: 1.4 multiplier at 100 pixels per beat.
 SLIDER_VELOCITY = 1.4
 PIXELS_PER_BEAT = 100.0
 
@@ -45,30 +45,12 @@ _TYPE_SPINNER = 8  # bit 3
 
 
 @dataclass(frozen=True)
-class HitObject:
-    time_ms: float
-    kind: str  # "circle" | "slider" | "spinner"
-    hitsound: int
-    end_time_ms: float | None = None
-
-
-@dataclass(frozen=True)
 class OsuChart:
-    """Raw .osu contents we consume: audio name, red timing points, objects."""
+    """Raw .osu contents we consume besides the objects: audio name and red
+    timing points."""
 
     audio_filename: str
     timing: tuple[tuple[float, float], ...]  # (offset_ms, beat_length_ms)
-    hit_objects: tuple[HitObject, ...]
-
-    def __post_init__(self):
-        times = [h.time_ms for h in self.hit_objects]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise MalformedFile("hit objects are not sorted by time")
-        for h in self.hit_objects:
-            if h.end_time_ms is not None and h.end_time_ms <= h.time_ms:
-                raise MalformedFile(
-                    f"object at {h.time_ms}ms ends at {h.end_time_ms}ms, before it starts"
-                )
 
 
 def _sections(text: str) -> dict[str, list[str]]:
@@ -121,7 +103,9 @@ def _checked_time(t_ms: float, line: str) -> float:
     return t_ms
 
 
-def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject:
+def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> tuple[float, float, NoteClass]:
+    """(start_ms, end_ms, class) of one object line. A circle ends where it
+    starts; a span must end after it starts."""
     parts = line.split(",")
     if len(parts) < 5:
         raise MalformedFile(f"hit object line too short: {line!r}")
@@ -134,40 +118,25 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> HitObject
     _checked_time(t, line)
 
     if obj_type & _TYPE_SPINNER:
-        if len(parts) < 6:
-            raise MalformedFile(f"spinner missing end time: {line!r}")
         try:
             end = float(parts[5])
-        except ValueError as exc:
-            raise MalformedFile(f"bad spinner end time: {line!r}") from exc
-        return HitObject(t, "spinner", hitsound, _checked_time(end, line))
-
-    if obj_type & _TYPE_SLIDER:
-        if len(parts) < 6:
-            raise MalformedFile(f"slider missing parameters: {line!r}")
-        # Our writer stores the end timestamp directly in the curve slot;
-        # real charts put a curve string there, so fall back to length math.
-        try:
-            end = float(parts[5])
-        except ValueError:
-            pass
-        else:
-            return HitObject(t, "slider", hitsound, _checked_time(end, line))
-        if len(parts) < 8:
-            raise MalformedFile(f"slider missing length: {line!r}")
-        try:
-            slides = int(parts[6])
-            length = float(parts[7])
-        except ValueError as exc:
-            raise MalformedFile(f"bad slider parameters: {line!r}") from exc
-        beat_len = _beat_length_at(timing, t)
-        duration = length / (SLIDER_VELOCITY * PIXELS_PER_BEAT) * beat_len * slides
-        return HitObject(t, "slider", hitsound, _checked_time(t + duration, line))
-
-    if obj_type & _TYPE_CIRCLE:
-        return HitObject(t, "circle", hitsound)
-
-    raise MalformedFile(f"unknown object type {obj_type}: {line!r}")
+        except (IndexError, ValueError) as exc:
+            raise MalformedFile(f"spinner needs an end time: {line!r}") from exc
+        cls = NoteClass.DENDEN
+    elif obj_type & _TYPE_SLIDER:
+        try:  # curve, slides, length; a slide count past the float range overflows
+            length, slides = float(parts[7]), int(parts[6])
+            end = t + length / (SLIDER_VELOCITY * PIXELS_PER_BEAT) * _beat_length_at(timing, t) * slides
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise MalformedFile(f"slider needs a curve, a slide count and a length: {line!r}") from exc
+        cls = NoteClass.DRUMROLL
+    elif obj_type & _TYPE_CIRCLE:
+        return t, t, _classify_circle(hitsound)
+    else:
+        raise MalformedFile(f"unknown object type {obj_type}: {line!r}")
+    if not end > t:
+        raise MalformedFile(f"object at {t}ms ends at {end}ms, not after it starts: {line!r}")
+    return t, _checked_time(end, line), cls
 
 
 def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSequence, OsuChart]:
@@ -213,32 +182,23 @@ def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSe
         raise MalformedFile("no uninherited timing point")
 
     objects = [_parse_hit_object(line, timing) for line in sections["HitObjects"]]
-    meta = OsuChart(audio_filename, tuple(timing), tuple(objects))
-
-    last_ms = max((h.end_time_ms if h.end_time_ms is not None else h.time_ms) for h in objects) if objects else 0.0
-    n_frames = ms_to_frame(last_ms) + 1 if objects else 0
+    n_frames = ms_to_frame(max(end for _, end, _ in objects)) + 1 if objects else 0
     if song_length_ms is not None:
         n_frames = max(n_frames, song_length_ms // FRAME_MS)
 
+    # every class written is nonzero, so an occupied frame is a nonzero one
     frames = np.zeros(n_frames, dtype=np.uint8)
-    claimed = np.zeros(n_frames, dtype=bool)
+    previous_ms = 0.0
+    for start_ms, end_ms, cls in objects:
+        if start_ms < previous_ms:
+            raise MalformedFile(f"hit objects are not sorted by time: {start_ms}ms after {previous_ms}ms")
+        previous_ms = start_ms
+        a, b = ms_to_frame(start_ms), ms_to_frame(end_ms)
+        if frames[a : b + 1].any():
+            raise OverlapError(f"object at {start_ms}ms overlaps frames {a}..{b}")
+        frames[a : b + 1] = cls
 
-    def claim(a: int, b: int, cls: NoteClass, t_ms: float):
-        if claimed[a : b + 1].any():
-            raise OverlapError(f"object at {t_ms}ms overlaps frames {a}..{b}")
-        claimed[a : b + 1] = True
-        frames[a : b + 1] = int(cls)
-
-    for h in objects:
-        start = ms_to_frame(h.time_ms)
-        if h.kind == "circle":
-            claim(start, start, _classify_circle(h.hitsound), h.time_ms)
-        elif h.kind == "slider":
-            claim(start, ms_to_frame(h.end_time_ms), NoteClass.DRUMROLL, h.time_ms)
-        else:
-            claim(start, ms_to_frame(h.end_time_ms), NoteClass.DENDEN, h.time_ms)
-
-    return NoteFrameSequence(frames), meta
+    return NoteFrameSequence(frames), OsuChart(audio_filename, tuple(timing))
 
 
 def _spans(frames: np.ndarray, cls: NoteClass):
@@ -253,25 +213,37 @@ def _spans(frames: np.ndarray, cls: NoteClass):
         yield int(idx[s]), int(idx[e])
 
 
-def _span_end_ms(a: int, b: int) -> int:
-    # a one-frame span still needs end > start; mid-frame lands on the
-    # same grid cell under floor quantization
-    return b * FRAME_MS if b > a else a * FRAME_MS + FRAME_MS // 2
+def _span_end_ms(b: int) -> int:
+    """End time of a span whose last frame is b: mid-frame, so that it lies
+    after the span's start even for one frame, and so that slider-length
+    arithmetic, off by a rounding error, still floors to frame b."""
+    return b * FRAME_MS + FRAME_MS // 2
+
+
+def _slider_length(duration_ms: float, beat_length: float) -> float:
+    """Pixel length of a slider lasting duration_ms, at SLIDER_VELOCITY."""
+    return duration_ms * (SLIDER_VELOCITY * PIXELS_PER_BEAT) / beat_length
 
 
 def valid_bpm(bpm: float) -> bool:
-    """Finite and positive, with a finite beat length 60000/bpm: a subnormal
-    BPM is positive, but its beat length is infinite."""
-    return math.isfinite(bpm) and bpm > 0 and math.isfinite(60000.0 / bpm)
+    """Finite and positive, with a finite beat length 60000/bpm and a finite
+    length for a slider as long as the longest song. A subnormal BPM is
+    positive, but its beat length is infinite; a BPM near the largest float
+    gives an infinite slider length."""
+    if not (math.isfinite(bpm) and bpm > 0):
+        return False
+    beat_length = 60000.0 / bpm
+    return math.isfinite(beat_length) and math.isfinite(_slider_length(MAX_SONG_MS, beat_length))
 
 
 def write_osu(chart: NoteFrameSequence, bpm: float, audio_filename: str) -> str:
     """Render a chart as .osu text.
 
     One uninherited timing point at offset 0 (beat length 60000/bpm). Hits
-    become circles at ``frame * 23`` ms, Drumroll runs become sliders and
-    Denden runs spinners, both carrying explicit integer end timestamps so
-    that parsing back never depends on slider-velocity arithmetic.
+    become circles at ``frame * 23`` ms. Drumroll runs become standard
+    osu! sliders, a straight curve slid once whose pixel length lasts until
+    the middle of the run's last frame at SliderMultiplier 1.4. Denden runs
+    become spinners that end at the middle of their last frame.
     """
     if len(chart) == 0:
         raise EmptyChart("cannot write a zero-frame chart")
@@ -286,9 +258,12 @@ def write_osu(chart: NoteFrameSequence, bpm: float, audio_filename: str) -> str:
             t = int(frame) * FRAME_MS
             events.append((t, f"256,192,{t},1,{_WRITE_HITSOUND[cls]},0:0:0:0:"))
     for a, b in _spans(f, NoteClass.DRUMROLL):
-        events.append((a * FRAME_MS, f"256,192,{a * FRAME_MS},2,0,{_span_end_ms(a, b)}"))
+        t = a * FRAME_MS
+        length = _slider_length(_span_end_ms(b) - t, beat_length)
+        events.append((t, f"256,192,{t},2,0,L|320:192,1,{length!r}"))
     for a, b in _spans(f, NoteClass.DENDEN):
-        events.append((a * FRAME_MS, f"256,192,{a * FRAME_MS},12,0,{_span_end_ms(a, b)}"))
+        t = a * FRAME_MS
+        events.append((t, f"256,192,{t},12,0,{_span_end_ms(b)},0:0:0:0:"))
     events.sort(key=lambda e: e[0])
 
     lines = [

@@ -235,8 +235,8 @@ def _read_manifest(meta) -> tuple[DatasetManifest, NormStats]:
             raise ValueError(f"bad chart entry {c!r}")
         entries.append(ChartEntry(c["id"], c["examples"], c["split"]))
     norm = NormStats(np.asarray(meta["norm_mean"], dtype=np.float64), np.asarray(meta["norm_std"], dtype=np.float64))
-    if norm.mean.shape != (bands,) or not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
-        raise ValueError("normalization stats must be finite and hold one value per band")
+    if norm.mean.shape != (bands,):
+        raise ValueError("normalization stats must hold one value per band")
     return DatasetManifest(tuple(entries), bands=bands), norm
 
 

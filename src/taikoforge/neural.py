@@ -846,7 +846,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
             if arrays[key].shape != shape:
                 raise ShapeMismatch(f"{path}: {key} has shape {arrays[key].shape}, expected {shape}")
 
-    params = ModelParams(arch, NormStats(mean, std), {n: arrays[n] for n in expected})
+    try:
+        norm = NormStats(mean, std)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
+    params = ModelParams(arch, norm, {n: arrays[n] for n in expected})
     state = AdamState(
         m={n: arrays[f"m.{n}"] for n in expected},
         v={n: arrays[f"v.{n}"] for n in expected},

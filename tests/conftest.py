@@ -76,6 +76,17 @@ def save_checkpoint_with_classes(path, arch: ArchConfig, classes: int):
     save_checkpoint(path, init_params(arch, seed=0))
 
 
+def save_checkpoint_with_norm(path, arch: ArchConfig, mean: float, std: float):
+    """Save a checkpoint whose normalization stats hold `mean` and `std` in
+    every band. NormStats refuses a non-finite mean or a std that is not
+    finite and positive, so they are set on a valid NormStats, past that
+    check."""
+    params = init_params(arch, seed=0)
+    object.__setattr__(params.norm, "mean", np.full(arch.bands, mean))
+    object.__setattr__(params.norm, "std", np.full(arch.bands, std))
+    save_checkpoint(path, params)
+
+
 @pytest.fixture
 def tiny_corpus(tmp_path: Path):
     """Two short charts with matching click audio, on disk, ready for the CLI."""

@@ -28,7 +28,7 @@ from taikoforge.audio import (
     song_features,
     stft_frames,
 )
-from taikoforge.errors import CorruptFile, EmptyCorpus, UnsupportedCodec
+from taikoforge.errors import CorruptFile, EmptyCorpus, ShapeMismatch, UnsupportedCodec
 
 from conftest import write_wav_pcm16
 
@@ -335,6 +335,12 @@ class TestNorm:
         assert (stats.std > 0).all()
 
     def test_norm_stats_validation(self):
-        with pytest.raises(ValueError):
-            NormStats(np.zeros(4), np.zeros(4))
+        # the mean must be finite, the std finite and strictly positive
+        for mean, std in [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)]:
+            with pytest.raises(ValueError):
+                NormStats(np.full(4, mean), np.full(4, std))
+
+    def test_apply_norm_rejects_other_band_count(self):
+        with pytest.raises(ShapeMismatch):
+            apply_norm(np.zeros((3, 80)), NormStats(np.zeros(4), np.ones(4)))
 

@@ -1,3 +1,7 @@
+import math
+import re
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taikoforge.chart import FRAME_MS, NoteClass, NoteFrameSequence
-from taikoforge.chart_io import parse_osu, parse_sm, write_osu
+from taikoforge.chart_io import parse_osu, parse_sm, valid_bpm, write_osu
 from taikoforge.errors import (
     EmptyChart,
     MalformedFile,
@@ -15,6 +19,29 @@ from taikoforge.errors import (
 )
 
 from conftest import random_note_frames
+
+
+def _accepted_edge(accepted: float, rejected: float) -> float:
+    """The accepted BPM next to a rejected one, by bisection over the bit
+    patterns of the positive floats between them, which sort as the floats do."""
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (accepted, rejected))
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if valid_bpm(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            lo = mid
+        else:
+            hi = mid
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
+
+
+#: The smallest and the largest BPM that valid_bpm accepts.
+MIN_BPM = _accepted_edge(120.0, 5e-324)
+MAX_BPM = _accepted_edge(120.0, sys.float_info.max)
+
+
+def test_accepted_bpm_range():
+    assert MIN_BPM < 1e-300 and MAX_BPM > 1e300
+    assert not valid_bpm(math.nextafter(MIN_BPM, 0)) and not valid_bpm(math.nextafter(MAX_BPM, math.inf))
 
 
 def osu_text(hit_lines, timing="0,500,4,1,0,100,1,0"):
@@ -67,9 +94,9 @@ class TestParseOsu:
         assert len(notes) == 47
 
     def test_slider_with_explicit_end(self):
-        notes, _ = parse_osu(osu_text(["256,192,184,2,0,276"]))
-        assert all(notes[f] == NoteClass.DRUMROLL for f in range(8, 13))
-        assert notes[7] == NoteClass.NO_NOTE
+        # an end time in the curve slot is no osu! slider: it has no length
+        with pytest.raises(MalformedFile, match="length"):
+            parse_osu(osu_text(["256,192,184,2,0,276"]))
 
     def test_slider_with_curve_uses_velocity_math(self):
         # length 140 at beat_length 500 and velocity 1.4*100 -> 500ms long
@@ -98,7 +125,8 @@ class TestParseOsu:
             parse_osu(text)
 
     def test_hit_inside_drumroll_rejected(self):
-        text = osu_text(["256,192,184,2,0,276", "256,192,230,1,0,0:0:0:0:"])
+        # 25.76 px at 140 px per 500 ms beat lasts 92 ms: frames 8..12
+        text = osu_text(["256,192,184,2,0,L|320:192,1,25.76", "256,192,230,1,0,0:0:0:0:"])
         with pytest.raises(OverlapError):
             parse_osu(text)
 
@@ -135,6 +163,13 @@ class TestParseOsu:
             "256,192,100,2,0,nan",
             "256,192,100,12,0,inf",
             "256,192,100,12,0,nan",
+            # spans that do not end after they start
+            "256,192,100,2,0,L|320:192,1,0",
+            "256,192,100,2,0,L|320:192,1,-14",
+            "256,192,100,2,0,L|320:192,0,140",
+            "256,192,100,12,0,100,0:0:0:0:",
+            "256,192,100,12,0,50,0:0:0:0:",
+            pytest.param("256,192,100,2,0,L|320:192,1" + "0" * 400 + ",140", id="slides-past-float-range"),
         ],
     )
     def test_bad_times_rejected(self, line):
@@ -165,12 +200,14 @@ class TestWriteOsu:
         assert "256,192,46,1,8,0:0:0:0:" in text
 
     def test_drumroll_span_slider(self):
+        # frames 8..12 last from 184 ms to mid-frame 12 at 287 ms: 103 ms,
+        # or 28.84 px at 140 px per 500 ms beat
         frames = np.zeros(13, dtype=np.uint8)
         frames[8:13] = int(NoteClass.DRUMROLL)
         text = write_osu(NoteFrameSequence(frames), 120.0, "a.wav")
-        assert "256,192,184,2,0,276" in text
+        assert "256,192,184,2,0,L|320:192,1,28.84" in text
 
-    @pytest.mark.parametrize("bpm", [0.0, -120.0, float("nan"), float("inf"), 1e-310])
+    @pytest.mark.parametrize("bpm", [0.0, -120.0, float("nan"), float("inf"), 1e-310, 1.7e308])
     def test_bpm_must_be_finite_and_positive(self, bpm):
         chart = NoteFrameSequence(np.array([int(NoteClass.SMALL_DON)], dtype=np.uint8))
         with pytest.raises(ValueError, match="finite and positive"):
@@ -197,6 +234,47 @@ def test_round_trip_random_charts(bpm):
         text = write_osu(chart, bpm, "song.wav")
         parsed, _ = parse_osu(text, song_length_ms=len(chart) * FRAME_MS)
         assert parsed == chart
+
+
+OBJECT_GRAMMAR = {
+    # x,y,time,type,hitSound,hitSample
+    "circle": re.compile(r"\d+,\d+,(\d+),1,(0|4|8|12),0:0:0:0:"),
+    # x,y,time,type,hitSound,curveType|curvePoints,slides,length
+    "slider": re.compile(r"\d+,\d+,(\d+),2,0,L\|\d+:\d+,1,([^,]+)"),
+    # x,y,time,type,hitSound,endTime,hitSample
+    "spinner": re.compile(r"\d+,\d+,(\d+),12,0,(\d+),0:0:0:0:"),
+}
+
+
+@pytest.mark.parametrize("bpm", [MIN_BPM, 60.0, 97.3, 300.0, MAX_BPM])
+def test_written_objects_follow_osu_v14_grammar(bpm):
+    chart = random_note_frames(np.random.default_rng(8), 300)
+    lines = write_osu(chart, bpm, "song.wav").split("[HitObjects]\n", 1)[1].splitlines()
+    kinds = set()
+    for line in lines:
+        matches = {kind: grammar.fullmatch(line) for kind, grammar in OBJECT_GRAMMAR.items()}
+        kind = next((kind for kind, match in matches.items() if match), None)
+        assert kind, line
+        if kind == "slider":
+            assert 0 < float(matches[kind][2]) < math.inf, line
+        if kind == "spinner":
+            assert int(matches[kind][2]) > int(matches[kind][1]), line
+        kinds.add(kind)
+    assert kinds == set(OBJECT_GRAMMAR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([MIN_BPM, MAX_BPM]),
+        st.floats(math.log(MIN_BPM), math.log(MAX_BPM)).map(lambda x: min(max(math.exp(x), MIN_BPM), MAX_BPM)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_round_trip_over_every_accepted_bpm_property(bpm, seed):
+    chart = random_note_frames(np.random.default_rng(seed), 80)
+    parsed, _ = parse_osu(write_osu(chart, bpm, "song.wav"), song_length_ms=len(chart) * FRAME_MS)
+    assert parsed == chart
 
 
 def test_round_trip_without_length_when_last_frame_noted():

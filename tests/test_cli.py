@@ -5,9 +5,11 @@ from taikoforge import cli
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
-from taikoforge.neural import DEFAULT_ARCH, init_params, save_checkpoint
+from taikoforge.neural import DEFAULT_ARCH, ArchConfig, init_params, save_checkpoint
 
-from conftest import periodic_chart, save_checkpoint_with_classes, write_wav_pcm16
+from conftest import periodic_chart, save_checkpoint_with_classes, save_checkpoint_with_norm, write_wav_pcm16
+
+MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
 
 def run(argv):
@@ -212,6 +214,28 @@ class TestGenerate:
         code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
         assert code == 2
         assert_one_line_error(capsys, "architecture")
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 0.0), (0.0, -1.0), (0.0, float("nan")), (float("nan"), 1.0)])
+    def test_checkpoint_with_bad_normalization_stats_exits_2(self, tmp_path, capsys, mean, std):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint_with_norm(checkpoint, DEFAULT_ARCH, mean, std)
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 2
+        assert_one_line_error(capsys, "normalization")
+
+    def test_checkpoint_with_other_band_count_exits_2(self, tmp_path, capsys):
+        # a valid checkpoint for 4-band features; the front end makes 80 bands
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, init_params(MINI, seed=0))
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        out = tmp_path / "o.osu"
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", out])
+        assert code == 2
+        assert_one_line_error(capsys, "bands")
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", [8000, 44100])
     def test_wav_without_a_whole_sample_exits_2(self, tmp_path, capsys, rate):

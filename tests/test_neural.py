@@ -42,7 +42,7 @@ from taikoforge.neural import (
     trunk,
 )
 
-from conftest import save_checkpoint_with_classes
+from conftest import save_checkpoint_with_classes, save_checkpoint_with_norm
 
 # small enough that finite differences over every parameter stay cheap
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
@@ -640,6 +640,14 @@ class TestCheckpoint:
         data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 0.0), (0.0, -1.0), (0.0, float("nan")), (float("nan"), 1.0)])
+    def test_bad_normalization_stats(self, tmp_path, mean, std):
+        # the CRC is valid, so only the stats are wrong
+        path = tmp_path / "model.tknm"
+        save_checkpoint_with_norm(path, MINI, mean, std)
+        with pytest.raises(CorruptFile, match="normalization"):
             load_checkpoint(path)
 
     def test_class_count_other_than_the_charts(self, tmp_path):
