@@ -140,10 +140,6 @@ def evaluate_loss(params: ModelParams, dataset: Dataset, indices: np.ndarray) ->
     return total / len(indices)
 
 
-def _params_finite(params: ModelParams) -> bool:
-    return all(np.isfinite(arr).all() for _, arr in params.items())
-
-
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -183,7 +179,7 @@ def train(
             train_loss = float("nan")
 
         spiked = prev_loss is not None and train_loss > config.explosion_factor * prev_loss
-        if not np.isfinite(train_loss) or not _params_finite(params) or spiked:
+        if not np.isfinite(train_loss) or not np.isfinite(params.flat).all() or spiked:
             exploded_at = (phase, epoch)
             if phase == 2 and epoch == 1:
                 warnings.warn(

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -11,16 +12,22 @@ from taikoforge.errors import (
     BadMagic,
     ChecksumMismatch,
     CorruptFile,
+    NonFiniteGradient,
     ShapeMismatch,
     TruncatedFile,
     VersionMismatch,
 )
 from taikoforge.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DEFAULT_ARCH,
     DROPOUT_P,
+    PARAM_NAMES,
     TRUNK_CHUNK,
     ArchConfig,
     ModelParams,
+    ParamBuffer,
     _conv2d,
     _conv2d_backward,
     _conv2d_input_grad,
@@ -446,23 +453,60 @@ def reference_forward_backward(params, windows, contexts, targets, rng):
 
 
 def test_training_step_bit_identical_to_layer_by_layer_reference():
+    # B=1 is phase 2's batch size, where the dense weight gradients are
+    # np.dot outer products rather than matmuls
     params = init_params(DEFAULT_ARCH, seed=31)
     rng_data = np.random.default_rng(32)
     for name, arr in params.items():
         if name.endswith("_b"):
             arr += rng_data.uniform(-0.1, 0.1, size=arr.shape).astype(arr.dtype)
-    n = 16
-    windows = rng_data.normal(size=(n, DEFAULT_ARCH.frames, DEFAULT_ARCH.bands))
-    contexts = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.context)))
-    targets = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.horizon)))
+    for n in (16, 1):
+        windows = rng_data.normal(size=(n, DEFAULT_ARCH.frames, DEFAULT_ARCH.bands))
+        contexts = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.context)))
+        targets = one_hot_rows(rng_data.integers(0, 7, size=(n, DEFAULT_ARCH.horizon)))
 
-    probs, cache = forward(params, windows, contexts, training=True, rng=np.random.default_rng(33))
-    grads = backward(params, cache, targets)
-    want_probs, want_grads = reference_forward_backward(params, windows, contexts, targets, np.random.default_rng(33))
-    assert np.array_equal(probs, want_probs)
-    for name, _ in params.items():
-        assert grads[name].dtype == want_grads[name].dtype
-        assert np.array_equal(grads[name], want_grads[name]), name
+        probs, cache = forward(params, windows, contexts, training=True, rng=np.random.default_rng(33))
+        grads = backward(params, cache, targets)
+        want_probs, want_grads = reference_forward_backward(
+            params, windows, contexts, targets, np.random.default_rng(33)
+        )
+        assert np.array_equal(probs, want_probs)
+        for name, _ in params.items():
+            assert grads[name].dtype == want_grads[name].dtype
+            assert np.array_equal(grads[name], want_grads[name]), f"B={n} {name}"
+
+
+class TestNonFiniteGradient:
+    """The one finiteness check over the gradient buffer covers its largest
+    group, fc1_w, and its last and smallest, out_b."""
+
+    def _step(self, n=16):
+        params = init_params(DEFAULT_ARCH, seed=34)
+        rng = np.random.default_rng(35)
+        windows = rng.normal(size=(n, DEFAULT_ARCH.frames, DEFAULT_ARCH.bands))
+        contexts = one_hot_rows(rng.integers(0, 7, size=(n, DEFAULT_ARCH.context)))
+        targets = one_hot_rows(rng.integers(0, 7, size=(n, DEFAULT_ARCH.horizon))).astype(np.float32)
+        _, cache = forward(params, windows, contexts)
+        return params, cache, targets
+
+    def test_in_fc1_w(self):
+        # fc1's input reaches no other group's gradient: the pool backward
+        # only compares it with conv2's activations
+        params, cache, targets = self._step(n=1)
+        cache["flat"][0, 5] = np.inf
+        with pytest.raises(NonFiniteGradient), np.errstate(invalid="ignore"):
+            backward(params, cache, targets)
+
+    def test_in_out_b(self):
+        # out_b alone overflows: its batch sum of 16 huge but finite rows.
+        # Zero h_last and out_w keep out_w's gradient and everything below
+        # the head at zero.
+        params, cache, targets = self._step()
+        cache["h_last"][...] = 0.0
+        params["out_w"][...] = 0.0
+        targets[:, 0, 0] = -3e38
+        with pytest.raises(NonFiniteGradient), np.errstate(over="ignore"):
+            backward(params, cache, targets)
 
 
 def test_loss_is_batch_mean_of_single_losses():
@@ -513,19 +557,42 @@ def test_song_trunk_of_song_shorter_than_a_window_is_empty():
     assert seg.shape == (0, MINI.frames, MINI.seg_features)
 
 
+def reference_adam_step(params, grads, state, lr):
+    """Adam as one update per parameter group, in the operation order that
+    :func:`adam_step` keeps over its flat buffers."""
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(p.dtype)
+
+
+def filled(arch, dtype, value):
+    buf = ParamBuffer(arch, dtype)
+    buf.flat[...] = value
+    return buf
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_params(MINI, seed=18)
         state = init_adam_state(params)
         before = {n: a.copy() for n, a in params.items()}
-        adam_step(params, {n: np.zeros_like(a) for n, a in params.items()}, state, lr=1e-3)
+        adam_step(params, ParamBuffer(MINI), state, lr=1e-3)
         for name, arr in params.items():
             assert np.array_equal(arr, before[name])
 
     def test_first_step_magnitude_is_lr(self):
         params = init_params(MINI, seed=19, dtype=np.float64)
         state = init_adam_state(params)
-        grads = {n: np.full_like(a, 0.25) for n, a in params.items()}
+        grads = filled(MINI, np.float64, 0.25)
         before = {n: a.copy() for n, a in params.items()}
         adam_step(params, grads, state, lr=1e-3)
         for name, arr in params.items():
@@ -537,12 +604,52 @@ class TestAdam:
         for _ in range(2):
             params = init_params(MINI, seed=20)
             state = init_adam_state(params)
-            grads = {n: np.full_like(a, 0.1) for n, a in params.items()}
+            grads = filled(MINI, np.float32, 0.1)
             adam_step(params, grads, state, lr=1e-4)
             adam_step(params, grads, state, lr=1e-4)
             results.append({n: a.copy() for n, a in params.items()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_per_group_reference(self, dtype):
+        # the full model spans many blocks and ends in a partial one; from
+        # the second step on the moments are nonzero
+        params = init_params(DEFAULT_ARCH, seed=36, dtype=dtype)
+        state = init_adam_state(params)
+        want = params.copy()
+        want_state = init_adam_state(want)
+        rng = np.random.default_rng(37)
+        for lr in (1e-3, 5e-4, 2e-4, 1e-4):
+            grads = ParamBuffer(DEFAULT_ARCH, dtype)
+            grads.flat[...] = rng.normal(0.0, rng.uniform(1e-4, 1.0), size=grads.flat.size)
+            adam_step(params, grads, state, lr)
+            reference_adam_step(want, grads, want_state, lr)
+        assert state.t == want_state.t == 4
+        for got, ref in ((params.arrays, want.arrays), (state.m, want_state.m), (state.v, want_state.v)):
+            assert got.flat.tobytes() == ref.flat.tobytes()
+
+    def test_rejects_gradients_of_another_dtype(self):
+        params = init_params(MINI, seed=38)
+        state = init_adam_state(params)
+        with pytest.raises(TypeError, match="float64"):
+            adam_step(params, ParamBuffer(MINI, np.float64), state, lr=1e-3)
+        assert state.t == 0
+
+    def test_warm_step_allocates_no_parameter_sized_temporaries(self):
+        # the full model's parameters take 1.5 MiB in float32; a warm step
+        # holds only its small scratch array
+        params = init_params(DEFAULT_ARCH, seed=39)
+        state = init_adam_state(params)
+        grads = filled(DEFAULT_ARCH, np.float32, 1e-3)
+        adam_step(params, grads, state, lr=1e-4)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
 
 class TestCheckpoint:
@@ -664,3 +771,24 @@ def test_model_params_rejects_wrong_shapes():
     arrays["fc1_b"] = np.zeros(99, dtype=np.float32)
     with pytest.raises(ShapeMismatch):
         ModelParams(MINI, params.norm, arrays)
+
+
+def test_model_params_rejects_mixed_dtypes():
+    params = init_params(MINI, seed=22)
+    arrays = {n: a.copy() for n, a in params.arrays.items()}
+    arrays["fc1_b"] = arrays["fc1_b"].astype(np.float64)
+    with pytest.raises(TypeError, match="float32, float64"):
+        ModelParams(MINI, params.norm, arrays)
+
+
+def test_params_are_views_of_one_buffer():
+    for dtype in (np.float32, np.float64):
+        params = init_params(MINI, seed=40, dtype=dtype)
+        assert params.flat.dtype == dtype
+        assert list(params.arrays) == list(PARAM_NAMES)
+        assert sum(a.size for _, a in params.items()) == params.flat.size
+        for _, arr in params.items():
+            assert arr.dtype == dtype and np.shares_memory(arr, params.flat)
+        copy = params.copy()
+        assert not np.shares_memory(copy.flat, params.flat)
+        assert copy.flat.tobytes() == params.flat.tobytes()

@@ -5,7 +5,7 @@ from taikoforge.audio import NUM_BANDS, NormStats
 from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
 from taikoforge.errors import ExplosionAtFirstEpoch
 from taikoforge import trainer
-from taikoforge.neural import TRUNK_CHUNK, adam_step, backward, forward, init_adam_state, init_params, loss
+from taikoforge.neural import TRUNK_CHUNK, ParamBuffer, adam_step, backward, forward, init_adam_state, init_params, loss
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
 
 
@@ -264,7 +264,7 @@ def test_batch_gradient_is_average_of_single_gradients(tmp_path):
             g = backward(params, cache, ds.targets[i : i + 1])
             grad_sum = g if grad_sum is None else {k: grad_sum[k] + g[k] for k in g}
         averaged = {k: v / batch_size for k, v in grad_sum.items()}
-        adam_step(params, averaged, state, 1e-4)
+        adam_step(params, ParamBuffer(params.arch, np.float64, averaged), state, 1e-4)
         return params
 
     from taikoforge.trainer import _run_epoch
