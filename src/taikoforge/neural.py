@@ -89,7 +89,7 @@ DROPOUT_P = 0.8
 PROB_FLOOR = 1e-9
 
 CHECKPOINT_MAGIC = b"TKNM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PARAM_NAMES = (
     "conv1_w", "conv1_b",
@@ -115,6 +115,8 @@ class ArchConfig:
     horizon: int = 4
 
     def __post_init__(self):
+        if min(self.as_tuple()) < 1:
+            raise ValueError("architecture constants must be positive")
         if self.frames % 4 or self.bands % 4:
             raise ValueError("frames and bands must be divisible by 4 (two 2x2 pools)")
         if self.classes != NUM_CLASSES:
@@ -172,6 +174,11 @@ def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def param_count(arch: ArchConfig) -> int:
+    """Elements in all parameter groups together, as an exact Python int."""
+    return sum(math.prod(shape) for shape in param_shapes(arch).values())
+
+
 class ParamBuffer(Mapping):
     """Every parameter group of an architecture in one flat buffer.
 
@@ -187,7 +194,7 @@ class ParamBuffer(Mapping):
         if arrays is not None and set(arrays) != set(shapes):
             raise ShapeMismatch("parameter set does not match architecture")
         self.arch = arch
-        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype=dtype)
+        self.flat = np.zeros(param_count(arch), dtype=dtype)
         self._views: dict[str, np.ndarray] = {}
         at = 0
         for name in PARAM_NAMES:
@@ -217,26 +224,18 @@ class ParamBuffer(Mapping):
 
 @dataclass
 class ModelParams:
-    """All learnable arrays plus the feature normalization that trained them.
-
-    ``arrays`` is a :class:`ParamBuffer`. Given any other mapping of the
-    groups' arrays, which must share one dtype, the parameters are a copy
-    of them in a new buffer.
-    """
+    """All learnable arrays, one :class:`ParamBuffer` laid out for
+    ``arch``, plus the feature normalization that trained them."""
 
     arch: ArchConfig
     norm: NormStats
     arrays: ParamBuffer = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.arrays, ParamBuffer):
-            if self.arrays.arch != self.arch:
-                raise ShapeMismatch("parameter buffer was laid out for another architecture")
-            return
-        dtypes = sorted({str(np.asarray(a).dtype) for a in self.arrays.values()})
-        if len(dtypes) > 1:
-            raise TypeError(f"parameter arrays must share one dtype, got {', '.join(dtypes)}")
-        self.arrays = ParamBuffer(self.arch, dtypes[0] if dtypes else np.float32, self.arrays)
+        if not isinstance(self.arrays, ParamBuffer):
+            raise TypeError(f"parameters must be a ParamBuffer, got {type(self.arrays).__name__}")
+        if self.arrays.arch != self.arch:
+            raise ShapeMismatch("parameter buffer was laid out for another architecture")
 
     @property
     def flat(self) -> np.ndarray:
@@ -815,38 +814,30 @@ def adam_step(params: ModelParams, grads: ParamBuffer, state: AdamState, lr: flo
 
 # ----------------------------------------------------------- checkpoints
 
-def _array_header(name: str, data: np.ndarray) -> bytes:
-    head = struct.pack("<H", len(name)) + name.encode()
-    return head + struct.pack("<B", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape)
+#: Magic, version and the eight :class:`ArchConfig` constants.
+_CHECKPOINT_HEAD = struct.Struct("<4sI8I")
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, state: AdamState | None = None) -> None:
     """Serialize parameters, Adam state, and normalization stats.
 
-    Versioned little-endian layout, f32 arrays, trailing CRC32 of the whole
-    preceding byte stream. Arrays are written from their own buffers, with
-    no copy of the whole file in memory, into a temporary file that replaces
+    Little-endian, version 2: magic ``TKNM``, version u32, the eight u32
+    architecture constants, the f64 normalization mean and std (``bands``
+    each), the Adam step u64; then the parameters, the first and the
+    second Adam moments, each one flat f32 buffer in :data:`PARAM_NAMES`
+    layout; then the CRC32 of every preceding byte. The architecture fixes
+    the layout, so no array carries a name or shape. float32 buffers are
+    written from their own memory into a temporary file that replaces
     ``path`` once complete.
     """
     if state is None:
         state = init_adam_state(params)
-    header = b"".join([
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<8I", *params.arch.as_tuple()),
-        np.ascontiguousarray(params.norm.mean, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.norm.std, dtype="<f8").tobytes(),
+    chunks = [
+        _CHECKPOINT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *params.arch.as_tuple()),
+        np.ascontiguousarray(params.norm.mean, dtype="<f8").data,
+        np.ascontiguousarray(params.norm.std, dtype="<f8").data,
         struct.pack("<Q", int(state.t)),
-    ])
-    entries = (
-        [(n, a) for n, a in params.items()]
-        + [(f"m.{n}", state.m[n]) for n in PARAM_NAMES]
-        + [(f"v.{n}", state.v[n]) for n in PARAM_NAMES]
-    )
-    chunks = [header + struct.pack("<I", len(entries))]
-    for name, arr in entries:
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        chunks += [_array_header(name, data), data.data]
+    ] + [np.ascontiguousarray(buf.flat, dtype="<f4").data for buf in (params.arrays, state.m, state.v)]
     crc = 0
     with atomic_write(path) as f:
         for chunk in chunks:
@@ -855,79 +846,52 @@ def save_checkpoint(path: str | Path, params: ModelParams, state: AdamState | No
         f.write(struct.pack("<I", crc))
 
 
-class _Reader:
-    def __init__(self, data: memoryview):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise TruncatedFile("checkpoint ends mid-record")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
-    """Load a float32 checkpoint, verifying magic, version, shapes, and checksum."""
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a model checkpoint")
-    if len(data) < 12:
-        raise TruncatedFile(f"{path}: header cut short")
+    """Load a checkpoint as float32, in the layout :func:`save_checkpoint`
+    writes.
 
-    payload = memoryview(data)[:-4]
-    r = _Reader(payload)
-    r.take(4)
-    (version,) = r.unpack("<I")
+    The magic, version and architecture are checked first. The file must
+    then be exactly as long as that architecture needs, so a header that
+    declares a larger model than the file holds fails before anything is
+    allocated: a shorter file raises :class:`TruncatedFile`, a longer one
+    :class:`CorruptFile`. Then the checksum and the normalization stats are
+    checked, and each buffer is copied from a view of the file bytes.
+    """
+    data = Path(path).read_bytes()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise BadMagic(f"{path}: not a model checkpoint")
+    if len(data) < _CHECKPOINT_HEAD.size:
+        raise TruncatedFile(f"{path}: header cut short")
+    _, version, *constants = _CHECKPOINT_HEAD.unpack_from(data)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     try:
-        arch = ArchConfig.from_tuple(r.unpack("<8I"))
+        arch = ArchConfig.from_tuple(constants)
     except ValueError as exc:
         raise ShapeMismatch(f"{path}: invalid architecture constants") from exc
-    mean = np.frombuffer(r.take(8 * arch.bands), dtype="<f8").copy()
-    std = np.frombuffer(r.take(8 * arch.bands), dtype="<f8").copy()
-    (adam_t,) = r.unpack("<Q")
-    (count,) = r.unpack("<I")
 
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = bytes(r.take(name_len)).decode()
-        except UnicodeDecodeError as exc:
-            raise CorruptFile(f"{path}: array name is not UTF-8") from exc
-        (ndim,) = r.unpack("<B")
-        if ndim > 4:  # conv kernels have the most axes
-            raise CorruptFile(f"{path}: array {name!r} declares {ndim} axes")
-        shape = r.unpack(f"<{ndim}I")
-        size = math.prod(shape)  # exact: np.prod wraps past 2**63
-        arrays[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
-    if r.pos != len(r.data):
-        raise TruncatedFile(f"{path}: trailing bytes after declared arrays")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(payload) != stored_crc:
+    n = param_count(arch)
+    stats_at = _CHECKPOINT_HEAD.size
+    params_at = stats_at + 16 * arch.bands + 8
+    need = params_at + 3 * 4 * n + 4
+    if len(data) < need:
+        raise TruncatedFile(f"{path}: {len(data)} bytes, the declared architecture needs {need}")
+    if len(data) > need:
+        raise CorruptFile(f"{path}: {len(data)} bytes, the declared architecture needs {need}")
+    (stored_crc,) = struct.unpack_from("<I", data, need - 4)
+    if zlib.crc32(memoryview(data)[:-4]) != stored_crc:
         raise ChecksumMismatch(f"{path}: checkpoint payload corrupted")
 
-    expected = param_shapes(arch)
-    wanted = set(expected) | {f"m.{n}" for n in expected} | {f"v.{n}" for n in expected}
-    if set(arrays) != wanted:
-        raise ShapeMismatch(f"{path}: stored arrays do not match the declared architecture")
-    for name, shape in expected.items():
-        for key in (name, f"m.{name}", f"v.{name}"):
-            if arrays[key].shape != shape:
-                raise ShapeMismatch(f"{path}: {key} has shape {arrays[key].shape}, expected {shape}")
-
+    mean, std = np.frombuffer(data, dtype="<f8", count=2 * arch.bands, offset=stats_at).reshape(2, -1).copy()
     try:
         norm = NormStats(mean, std)
     except ValueError as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
+    (adam_t,) = struct.unpack_from("<Q", data, params_at - 8)
 
-    def buffer(prefix):
-        return ParamBuffer(arch, np.float32, {n: arrays[prefix + n] for n in expected})
+    def buffer(k):
+        buf = ParamBuffer(arch)
+        buf.flat[...] = np.frombuffer(data, dtype="<f4", count=n, offset=params_at + 4 * n * k)
+        return buf
 
-    return ModelParams(arch, norm, buffer("")), AdamState(buffer("m."), buffer("v."), adam_t)
+    return ModelParams(arch, norm, buffer(0)), AdamState(buffer(1), buffer(2), adam_t)

@@ -4,7 +4,7 @@ Phase 1: fixed number of epochs, batched (gradients averaged over the
 batch). Phase 2: batch size 1 at a lower learning rate, one epoch at a
 time, checkpointing after every epoch. An epoch "explodes" when any
 parameter or its mean training loss goes non-finite, or when the loss
-jumps past ``explosion_factor`` times the previous epoch's; training then
+jumps past :data:`EXPLOSION_FACTOR` times the previous epoch's; training then
 stops and the previous epoch's checkpoint wins. Every run is fully
 deterministic under its seed.
 
@@ -47,6 +47,10 @@ from .neural import (
     song_trunk,
 )
 
+#: An epoch whose mean training loss exceeds this multiple of the previous
+#: epoch's counts as a weight explosion.
+EXPLOSION_FACTOR = 3.0
+
 
 @dataclass
 class TrainConfig:
@@ -57,7 +61,6 @@ class TrainConfig:
     phase2_lr: float = 5e-6
     phase2_max_epochs: int = 8
     seed: int = 0
-    explosion_factor: float = 3.0
     # test hook: return True for (phase, epoch) to force that epoch's loss
     # non-finite and exercise the rollback path
     fault_hook: Callable[[int, int], bool] | None = field(default=None, repr=False)
@@ -178,7 +181,7 @@ def train(
         if config.fault_hook is not None and config.fault_hook(phase, epoch):
             train_loss = float("nan")
 
-        spiked = prev_loss is not None and train_loss > config.explosion_factor * prev_loss
+        spiked = prev_loss is not None and train_loss > EXPLOSION_FACTOR * prev_loss
         if not np.isfinite(train_loss) or not np.isfinite(params.flat).all() or spiked:
             exploded_at = (phase, epoch)
             if phase == 2 and epoch == 1:

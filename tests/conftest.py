@@ -2,16 +2,18 @@
 package's RIFF reader), random valid charts, and a tiny chart+audio corpus
 for pipeline tests."""
 
+import struct
 import wave
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taikoforge.audio import SAMPLE_RATE
+from taikoforge.audio import SAMPLE_RATE, NormStats
 from taikoforge.chart import FRAME_MS, NUM_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.chart_io import write_osu
-from taikoforge.neural import ArchConfig, init_params, save_checkpoint
+from taikoforge.neural import ArchConfig, ModelParams, ParamBuffer, init_params, save_checkpoint
 
 
 def write_wav_pcm16(path, samples, rate=SAMPLE_RATE, channels=1):
@@ -66,14 +68,15 @@ def click_audio_for(chart: NoteFrameSequence) -> np.ndarray:
     return samples
 
 
-def save_checkpoint_with_classes(path, arch: ArchConfig, classes: int):
-    """Save a checkpoint whose header and arrays agree on `classes` note
-    classes. ArchConfig refuses any count but the chart's seven, so the count
-    is set on a copy of arch, past that check."""
+def save_checkpoint_with_constants(path, arch: ArchConfig, **constants):
+    """Save zero parameters for a copy of arch with `constants` set, past
+    the checks of ArchConfig, so that the file's length and CRC agree with
+    the constants its header declares."""
     arch = ArchConfig(*arch.as_tuple())
-    object.__setattr__(arch, "classes", classes)
-    object.__setattr__(arch, "seg_features", classes + 1)
-    save_checkpoint(path, init_params(arch, seed=0))
+    for name, value in constants.items():
+        object.__setattr__(arch, name, value)
+    norm = NormStats(np.zeros(arch.bands), np.ones(arch.bands))
+    save_checkpoint(path, ModelParams(arch, norm, ParamBuffer(arch)))
 
 
 def save_checkpoint_with_norm(path, arch: ArchConfig, mean: float, std: float):
@@ -85,6 +88,27 @@ def save_checkpoint_with_norm(path, arch: ArchConfig, mean: float, std: float):
     object.__setattr__(params.norm, "mean", np.full(arch.bands, mean))
     object.__setattr__(params.norm, "std", np.full(arch.bands, std))
     save_checkpoint(path, params)
+
+
+def save_checkpoint_v1(path, params):
+    """Write ``params`` and a zero Adam state in the version-1 TKNM layout,
+    which stored each of the 42 arrays with its name, axis count and shape."""
+    arrays = list(params.items()) + [(f"{k}.{n}", np.zeros(a.shape)) for k in "mv" for n, a in params.items()]
+    chunks = [
+        b"TKNM",
+        struct.pack("<I8I", 1, *params.arch.as_tuple()),
+        params.norm.mean.astype("<f8").tobytes(),
+        params.norm.std.astype("<f8").tobytes(),
+        struct.pack("<QI", 0, len(arrays)),
+    ]
+    for name, arr in arrays:
+        chunks += [
+            struct.pack("<H", len(name)) + name.encode(),
+            struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+            np.asarray(arr, dtype="<f4").tobytes(),
+        ]
+    data = b"".join(chunks)
+    Path(path).write_bytes(data + struct.pack("<I", zlib.crc32(data)))
 
 
 @pytest.fixture

@@ -7,7 +7,13 @@ from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
 from taikoforge.neural import DEFAULT_ARCH, ArchConfig, init_params, save_checkpoint
 
-from conftest import periodic_chart, save_checkpoint_with_classes, save_checkpoint_with_norm, write_wav_pcm16
+from conftest import (
+    periodic_chart,
+    save_checkpoint_v1,
+    save_checkpoint_with_constants,
+    save_checkpoint_with_norm,
+    write_wav_pcm16,
+)
 
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
@@ -193,22 +199,30 @@ class TestGenerate:
         assert_one_line_error(capsys, "--seed")
         assert not out.exists()
 
-    def test_non_utf8_array_name_exits_2(self, tmp_path, capsys):
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         checkpoint = tmp_path / "m.tknm"
-        save_checkpoint(checkpoint, init_params(DEFAULT_ARCH, seed=0))
-        data = bytearray(checkpoint.read_bytes())
-        data[data.index(b"conv1_w")] = 0xFF
-        checkpoint.write_bytes(bytes(data))
+        save_checkpoint_v1(checkpoint, init_params(DEFAULT_ARCH, seed=0))
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        out = tmp_path / "o.osu"
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", out])
+        assert code == 2
+        assert_one_line_error(capsys, "checkpoint version 1, expected 2")
+        assert not out.exists()
+
+    def test_checkpoint_with_other_class_count_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint_with_constants(checkpoint, DEFAULT_ARCH, classes=5, seg_features=6)
         wav = tmp_path / "d.wav"
         write_wav_pcm16(wav, np.zeros(44100))
         code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "UTF-8" in err and "Traceback" not in err
+        assert_one_line_error(capsys, "architecture")
 
-    def test_checkpoint_with_other_class_count_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["frames", "conv1_filters", "horizon"])
+    def test_checkpoint_with_zero_architecture_constant_exits_2(self, tmp_path, capsys, name):
         checkpoint = tmp_path / "m.tknm"
-        save_checkpoint_with_classes(checkpoint, DEFAULT_ARCH, classes=5)
+        save_checkpoint_with_constants(checkpoint, DEFAULT_ARCH, **{name: 0})
         wav = tmp_path / "d.wav"
         write_wav_pcm16(wav, np.zeros(44100))
         code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])

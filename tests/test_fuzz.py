@@ -89,8 +89,17 @@ def checkpoint_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+def constants_set_to_ff(first: int, count: int):
+    """Edits that set ``count`` of the eight u32 architecture constants, from
+    the ``first`` on (bytes 8-39 of a checkpoint), to 0xFFFFFFFF."""
+    return [(pos, 0xFF) for pos in range(8 + 4 * first, 8 + 4 * (first + count))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(edits=EDITS, keep=st.integers(0, 2**16))
+@example(edits=constants_set_to_ff(0, 8), keep=2**16)  # every constant
+@example(edits=constants_set_to_ff(2, 2), keep=2**16)  # both conv widths
+@example(edits=constants_set_to_ff(5, 1), keep=2**16)  # the LSTM width
 def test_mutated_checkpoint_raises_only_toolkit_errors(fuzz_dir, checkpoint_bytes, edits, keep):
     path = fuzz_dir / "mutated.tknm"
     path.write_bytes(mutated(checkpoint_bytes, edits, keep))

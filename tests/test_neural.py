@@ -49,7 +49,7 @@ from taikoforge.neural import (
     trunk,
 )
 
-from conftest import save_checkpoint_with_classes, save_checkpoint_with_norm
+from conftest import save_checkpoint_v1, save_checkpoint_with_constants, save_checkpoint_with_norm
 
 # small enough that finite differences over every parameter stay cheap
 MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
@@ -652,6 +652,11 @@ class TestAdam:
         assert peak < 0.5 * 2**20
 
 
+def checkpoint_header_size(arch: ArchConfig) -> int:
+    """Magic, version, eight constants, mean and std, Adam step."""
+    return 4 + 4 + 8 * 4 + 2 * 8 * arch.bands + 8
+
+
 class TestCheckpoint:
     def _params(self, seed=21):
         rng = np.random.default_rng(seed)
@@ -659,24 +664,57 @@ class TestCheckpoint:
         params = init_params(MINI, seed=seed, norm=norm)
         state = init_adam_state(params)
         state.t = 7
-        state.m["fc1_w"][...] = 0.125
+        state.m.flat[...] = rng.normal(size=state.m.flat.size)
+        state.v.flat[...] = rng.random(size=state.v.flat.size)
         return params, state
+
+    def _saved(self, tmp_path):
+        params, state = self._params()
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        return path, bytearray(path.read_bytes())
 
     def test_round_trip_bit_exact(self, tmp_path):
         params, state = self._params()
         path = tmp_path / "model.tknm"
         save_checkpoint(path, params, state)
         loaded_params, loaded_state = load_checkpoint(path)
-        for name, arr in params.items():
-            assert np.array_equal(arr, loaded_params[name])
+        assert loaded_params.arch == MINI
+        assert loaded_params.flat.tobytes() == params.flat.tobytes()
+        assert loaded_state.m.flat.tobytes() == state.m.flat.tobytes()
+        assert loaded_state.v.flat.tobytes() == state.v.flat.tobytes()
         assert np.array_equal(params.norm.mean, loaded_params.norm.mean)
         assert np.array_equal(params.norm.std, loaded_params.norm.std)
         assert loaded_state.t == 7
-        assert np.array_equal(loaded_state.m["fc1_w"], state.m["fc1_w"])
 
         again = tmp_path / "again.tknm"
         save_checkpoint(again, loaded_params, loaded_state)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_float64_params_load_as_their_float32_rounding(self, tmp_path):
+        params = init_params(MINI, seed=23, dtype=np.float64)
+        state = init_adam_state(params)
+        state.m.flat[...] = 1 / 3
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        loaded_params, loaded_state = load_checkpoint(path)
+        assert loaded_params.dtype == np.float32
+        assert loaded_params.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+        assert loaded_state.m.flat.tobytes() == state.m.flat.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("arch", [MINI, DEFAULT_ARCH], ids=["mini", "default"])
+    def test_file_is_header_three_flat_buffers_and_crc(self, tmp_path, arch):
+        params = init_params(arch, seed=24)
+        state = init_adam_state(params)
+        state.v.flat[...] = 2.0
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        data = path.read_bytes()
+        head, n = checkpoint_header_size(arch), params.flat.size
+        assert len(data) == head + 12 * n + 4
+        assert data[head : head + 4 * n] == params.flat.tobytes()
+        assert data[head + 8 * n : head + 12 * n] == state.v.flat.tobytes()
+        assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.tknm"
@@ -685,69 +723,71 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = path.read_bytes()
+        path, data = self._saved(tmp_path)
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TruncatedFile):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra,error", [(-1, TruncatedFile), (1, CorruptFile)], ids=["short", "long"])
+    def test_one_byte_off_the_declared_length(self, tmp_path, extra, error):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:-1] if extra < 0 else data + b"\x00")
+        with pytest.raises(CorruptFile, match="needs") as exc:
+            load_checkpoint(path)
+        assert exc.type is error
+
     def test_corrupted_payload(self, tmp_path):
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = bytearray(path.read_bytes())
-        data[-12] ^= 0xFF  # inside the last array's float data
+        path, data = self._saved(tmp_path)
+        data[-12] ^= 0xFF  # inside the second moments' float data
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumMismatch):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = bytearray(path.read_bytes())
+        path, data = self._saved(tmp_path)
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
-    def test_more_axes_than_any_parameter(self, tmp_path):
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = bytearray(path.read_bytes())
-        data[data.index(b"conv1_w") + len(b"conv1_w")] = 65
-        path.write_bytes(bytes(data))
-        with pytest.raises(CorruptFile, match="65 axes"):
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.tknm"
+        save_checkpoint_v1(path, init_params(MINI, seed=0))
+        with pytest.raises(VersionMismatch, match="version 1, expected 2"):
             load_checkpoint(path)
 
-    def test_shape_product_past_int64(self, tmp_path):
-        # 2**31 * 2**31 * 4 wraps to 0 in int64 arithmetic
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = bytearray(path.read_bytes())
-        shape_at = data.index(b"conv1_w") + len(b"conv1_w") + 1
-        data[shape_at : shape_at + 16] = np.array([2**31, 2**31, 4, 1], dtype="<u4").tobytes()
+    @pytest.mark.parametrize(
+        "constants", [{1: 2**32 - 4, 3: 2**32 - 1}, {3: 2**32 - 1}], ids=["bands-and-conv2", "conv2"]
+    )
+    def test_huge_declared_architecture_allocates_nothing(self, tmp_path, constants):
+        # constant i of the eight sits at byte 8 + 4*i; the file keeps MINI's
+        # arrays, so the length check must fail before any buffer is sized
+        path, data = self._saved(tmp_path)
+        for i, value in constants.items():
+            data[8 + 4 * i : 12 + 4 * i] = struct.pack("<I", value)
         path.write_bytes(bytes(data))
-        with pytest.raises(TruncatedFile):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) + 2**20
 
     def test_architecture_mismatch(self, tmp_path):
-        # the header declares a wider LSTM than the arrays hold; the CRC is
-        # recomputed so that only the shapes disagree
-        params, state = self._params()
-        path = tmp_path / "model.tknm"
-        save_checkpoint(path, params, state)
-        data = bytearray(path.read_bytes())
+        # the header declares another LSTM width than the saved buffers; the
+        # CRC is recomputed, so only the length the width implies disagrees
+        path, saved = self._saved(tmp_path)
         hidden_at = 8 + 4 * 5  # after magic and version: the sixth constant
-        data[hidden_at : hidden_at + 4] = struct.pack("<I", MINI.hidden + 1)
-        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
-        path.write_bytes(bytes(data))
-        with pytest.raises(ShapeMismatch):
-            load_checkpoint(path)
+        for hidden, error in ((MINI.hidden + 1, TruncatedFile), (MINI.hidden - 1, CorruptFile)):
+            data = saved.copy()
+            data[hidden_at : hidden_at + 4] = struct.pack("<I", hidden)
+            data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+            path.write_bytes(bytes(data))
+            with pytest.raises(CorruptFile) as exc:
+                load_checkpoint(path)
+            assert exc.type is error, hidden
 
     @pytest.mark.parametrize("mean,std", [(0.0, 0.0), (0.0, -1.0), (0.0, float("nan")), (float("nan"), 1.0)])
     def test_bad_normalization_stats(self, tmp_path, mean, std):
@@ -760,8 +800,16 @@ class TestCheckpoint:
     def test_class_count_other_than_the_charts(self, tmp_path):
         # arrays and header agree on 5 classes, but a chart has 7
         path = tmp_path / "model.tknm"
-        save_checkpoint_with_classes(path, MINI, classes=5)
+        save_checkpoint_with_constants(path, MINI, classes=5, seg_features=6)
         with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["frames", "bands", "conv1_filters", "hidden", "horizon"])
+    def test_zero_architecture_constant(self, tmp_path, name):
+        # the file is as long as the zero constant implies, and its CRC holds
+        path = tmp_path / "model.tknm"
+        save_checkpoint_with_constants(path, MINI, **{name: 0})
+        with pytest.raises(ShapeMismatch, match="architecture"):
             load_checkpoint(path)
 
 
@@ -770,15 +818,11 @@ def test_model_params_rejects_wrong_shapes():
     arrays = {n: a.copy() for n, a in params.arrays.items()}
     arrays["fc1_b"] = np.zeros(99, dtype=np.float32)
     with pytest.raises(ShapeMismatch):
-        ModelParams(MINI, params.norm, arrays)
-
-
-def test_model_params_rejects_mixed_dtypes():
-    params = init_params(MINI, seed=22)
-    arrays = {n: a.copy() for n, a in params.arrays.items()}
-    arrays["fc1_b"] = arrays["fc1_b"].astype(np.float64)
-    with pytest.raises(TypeError, match="float32, float64"):
-        ModelParams(MINI, params.norm, arrays)
+        ParamBuffer(MINI, arrays=arrays)
+    with pytest.raises(ShapeMismatch):
+        ModelParams(MINI, params.norm, ParamBuffer(DEFAULT_ARCH))
+    with pytest.raises(TypeError, match="ParamBuffer"):
+        ModelParams(MINI, params.norm, dict(params.items()))
 
 
 def test_params_are_views_of_one_buffer():

@@ -230,7 +230,7 @@ class TestRollback:
         expected = (config.checkpoint_dir / "p1_e001.tknm").read_bytes()
         assert result.final_path.read_bytes() == expected
 
-    def test_loss_spike_triggers_rollback(self, tmp_path):
+    def test_loss_spike_triggers_rollback(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
         calls = []
 
@@ -239,7 +239,8 @@ class TestRollback:
             return False
 
         # absurdly low explosion factor: the next epoch always "spikes"
-        config = quick_config(tmp_path, phase2_max_epochs=4, explosion_factor=1e-9, fault_hook=hook)
+        monkeypatch.setattr(trainer, "EXPLOSION_FACTOR", 1e-9)
+        config = quick_config(tmp_path, phase2_max_epochs=4, fault_hook=hook)
         with pytest.warns(ExplosionAtFirstEpoch):
             result = train(ds, config)
         assert result.exploded_at == (2, 1)
