@@ -29,13 +29,13 @@ LOG_OFFSET = 1e-6
 STD_FLOOR = 1e-8
 
 
-def _decode_pcm(raw: bytes, bits: int, fmt: int) -> np.ndarray:
+def _decode_pcm(raw: bytes, bits: int, fmt: int, path: str | Path) -> np.ndarray:
     if fmt == 3:  # IEEE float
         if bits != 32:
-            raise UnsupportedCodec(f"{bits}-bit float WAV is not supported")
+            raise UnsupportedCodec(f"{path}: {bits}-bit float WAV is not supported")
         return np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if fmt != 1:
-        raise UnsupportedCodec(f"WAV format tag {fmt} is not supported")
+        raise UnsupportedCodec(f"{path}: WAV format tag {fmt} is not supported")
     if bits == 16:
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if bits == 24:
@@ -49,7 +49,7 @@ def _decode_pcm(raw: bytes, bits: int, fmt: int) -> np.ndarray:
         return x.astype(np.float64) / 8388608.0
     if bits == 32:
         return np.frombuffer(raw, dtype="<i4").astype(np.float64) / 2147483648.0
-    raise UnsupportedCodec(f"{bits}-bit integer WAV is not supported")
+    raise UnsupportedCodec(f"{path}: {bits}-bit integer WAV is not supported")
 
 
 def decode_audio(path: str | Path) -> tuple[np.ndarray, int]:
@@ -84,12 +84,12 @@ def decode_audio(path: str | Path) -> tuple[np.ndarray, int]:
 
     fmt, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt_chunk)
     if channels not in (1, 2):
-        raise UnsupportedCodec(f"{channels}-channel WAV is not supported")
+        raise UnsupportedCodec(f"{path}: {channels}-channel WAV is not supported")
     if block_align:
         data_chunk = data_chunk[: len(data_chunk) - len(data_chunk) % block_align]
 
     try:
-        samples = _decode_pcm(data_chunk, bits, fmt)
+        samples = _decode_pcm(data_chunk, bits, fmt, path)
     except ValueError as exc:
         raise CorruptFile(f"{path}: data chunk not aligned to the sample size") from exc
     if channels == 2:

@@ -63,7 +63,7 @@ def cmd_build_dataset(args) -> int:
 
     def prepare(chart_path: Path):
         wav_path = audio_dir / f"{chart_path.stem}.wav"
-        samples, rate = _with_file_context(wav_path, lambda: audio.decode_audio(wav_path))
+        samples, rate = audio.decode_audio(wav_path)
         length_ms = len(samples) * 1000 // rate
         text = _read_chart(chart_path)
         notes, _ = _with_file_context(chart_path, lambda: chart_io.parse_osu(text, song_length_ms=length_ms))
@@ -185,16 +185,12 @@ def cmd_evaluate(args) -> int:
     report = metrics.MetricsReport([ev for ev, _, _ in results])
     print(report.to_text())
 
-    dist_rows = {}
-    model_dists = [metrics.note_distribution(m) for _, m, _ in results if m is not None]
+    dist_rows = {"model": np.mean([metrics.note_distribution(m) for _, m, _ in results], axis=0)}
     human_dists = [metrics.note_distribution(h) for _, _, h in results if h is not None]
-    if model_dists:
-        dist_rows["model"] = np.mean(model_dists, axis=0)
     if human_dists:
         dist_rows["human"] = np.mean(human_dists, axis=0)
-    if dist_rows:
-        print()
-        print(metrics.distribution_table(dist_rows))
+    print()
+    print(metrics.distribution_table(dist_rows))
 
     if args.csv:
         with atomic_write(args.csv, "w", encoding="utf-8") as f:

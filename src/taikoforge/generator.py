@@ -37,6 +37,9 @@ from .neural import ModelParams, _gate_scale, _head, _lstm_step, song_trunk
 from .neural import forward
 
 
+# _head raises on any non-finite probability, so numpy's overflow warnings
+# from extreme but finite weights add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def generate_notes(
     params: ModelParams,
     features: np.ndarray,

@@ -2,17 +2,20 @@
 
 Phase 1: fixed number of epochs, batched (gradients averaged over the
 batch). Phase 2: batch size 1 at a lower learning rate, one epoch at a
-time, checkpointing after every epoch. An epoch "explodes" when any
-parameter or its mean training loss goes non-finite, or when the loss
-jumps past :data:`EXPLOSION_FACTOR` times the previous epoch's; training then
-stops and the previous epoch's checkpoint wins. Every run is fully
+time. An epoch "explodes" when its training or validation pass raises
+NonFiniteActivation or NonFiniteGradient, when its parameters end
+non-finite, or when its mean training loss exceeds :data:`EXPLOSION_FACTOR`
+times the previous epoch's. Training then stops and the previous epoch's
+checkpoint wins. An epoch that explodes in training is never validated,
+and each epoch's checkpoint is written after its validation, so no
+exploded epoch is saved. Both passes ignore numpy's overflow warnings, as
+these checks catch every non-finite value. Every run is fully
 deterministic under its seed.
 
 Training runs :func:`~taikoforge.neural.forward` on gathered windows, each
-with its own dropout masks. Validation, after every finished epoch, runs
-the inference path that generation also uses: the song-level trunk over
-each validation chart's stored feature rows, then the shared recurrent
-layers and head.
+with its own dropout masks. Validation runs the inference path that
+generation also uses: the song-level trunk over each validation chart's
+stored feature rows, then the shared recurrent layers and head.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import shutil
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .dataset import Dataset
-from .errors import ExplosionAtFirstEpoch
+from .errors import ExplosionAtFirstEpoch, NonFiniteActivation, NonFiniteGradient
 from .neural import (
     DEFAULT_ARCH,
     TRUNK_CHUNK,
@@ -61,9 +64,6 @@ class TrainConfig:
     phase2_lr: float = 5e-6
     phase2_max_epochs: int = 8
     seed: int = 0
-    # test hook: return True for (phase, epoch) to force that epoch's loss
-    # non-finite and exercise the rollback path
-    fault_hook: Callable[[int, int], bool] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.checkpoint_dir = Path(self.checkpoint_dir)
@@ -165,10 +165,9 @@ def train(
     if len(train_idx) == 0:
         raise ValueError("dataset has no training examples")
 
-    init_path = ckpt_dir / "init.tknm"
-    save_checkpoint(init_path, params, state)
-    best_path = init_path
-    prev_loss: float | None = None
+    best_path = ckpt_dir / "init.tknm"
+    save_checkpoint(best_path, params, state)
+    prev_loss = math.inf
     records: list[EpochRecord] = []
     exploded_at: tuple[int, int] | None = None
 
@@ -177,32 +176,32 @@ def train(
 
     for phase, epoch, lr, batch_size in schedule:
         started = time.perf_counter()
-        train_loss = _run_epoch(params, state, dataset, train_idx, batch_size, lr, rng)
-        if config.fault_hook is not None and config.fault_hook(phase, epoch):
-            train_loss = float("nan")
-
-        spiked = prev_loss is not None and train_loss > EXPLOSION_FACTOR * prev_loss
-        if not np.isfinite(train_loss) or not np.isfinite(params.flat).all() or spiked:
+        why = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                train_loss = _run_epoch(params, state, dataset, train_idx, batch_size, lr, rng)
+                if train_loss > EXPLOSION_FACTOR * prev_loss or not np.isfinite(params.flat).all():
+                    why = f"train {train_loss}"
+                else:
+                    val_loss = evaluate_loss(params, dataset, val_idx)
+            except (NonFiniteActivation, NonFiniteGradient) as exc:
+                why = str(exc)
+        if why is not None:
             exploded_at = (phase, epoch)
-            if phase == 2 and epoch == 1:
-                warnings.warn(
-                    "fine-tuning exploded on its first epoch; keeping the phase-1 result",
-                    ExplosionAtFirstEpoch,
-                )
+            if exploded_at == (2, 1):
+                message = "fine-tuning exploded on its first epoch; keeping the phase-1 result"
+                warnings.warn(message, ExplosionAtFirstEpoch)
             if log:
-                log(f"phase {phase} epoch {epoch:3d}  exploded (train {train_loss}); rolling back")
+                log(f"phase {phase} epoch {epoch:3d}  exploded ({why}); rolling back")
             params, state = load_checkpoint(best_path)
             break
 
-        path = ckpt_dir / f"p{phase}_e{epoch:03d}.tknm"
-        save_checkpoint(path, params, state)
-        best_path = path
+        best_path = ckpt_dir / f"p{phase}_e{epoch:03d}.tknm"
+        save_checkpoint(best_path, params, state)
         prev_loss = train_loss
-        val_loss = evaluate_loss(params, dataset, val_idx)
-        record = EpochRecord(phase, epoch, train_loss, val_loss, time.perf_counter() - started)
-        records.append(record)
+        records.append(EpochRecord(phase, epoch, train_loss, val_loss, time.perf_counter() - started))
         if log:
-            log(record.line())
+            log(records[-1].line())
 
     final_path = ckpt_dir / "final.tknm"
     with open(best_path, "rb") as src, atomic_write(final_path) as dst:

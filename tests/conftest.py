@@ -2,6 +2,7 @@
 package's RIFF reader), random valid charts, and a tiny chart+audio corpus
 for pipeline tests."""
 
+import itertools
 import struct
 import wave
 import zlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taikoforge import trainer
 from taikoforge.audio import SAMPLE_RATE, NormStats
 from taikoforge.chart import FRAME_MS, NUM_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.chart_io import write_osu
@@ -109,6 +111,22 @@ def save_checkpoint_v1(path, params):
         ]
     data = b"".join(chunks)
     Path(path).write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+
+
+def overflow_epochs(monkeypatch, *calls):
+    """Make training overflow for real: the listed calls of
+    ``trainer._run_epoch`` (call i runs the schedule's i-th epoch) first
+    scale every parameter by 1e30, so that the epoch's activations or
+    gradients go non-finite."""
+    real = trainer._run_epoch
+    count = itertools.count()
+
+    def run_epoch(params, *args):
+        if next(count) in calls:
+            params.flat[:] *= 1e30
+        return real(params, *args)
+
+    monkeypatch.setattr(trainer, "_run_epoch", run_epoch)
 
 
 @pytest.fixture

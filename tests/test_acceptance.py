@@ -37,7 +37,7 @@ from taikoforge.metrics import (
 from taikoforge.neural import backward, forward, init_params
 from taikoforge.trainer import TrainConfig, train
 
-from conftest import click_audio_for, periodic_chart, random_note_frames, write_wav_pcm16
+from conftest import click_audio_for, overflow_epochs, periodic_chart, random_note_frames, write_wav_pcm16
 from test_audio import oracle_log_mel
 from test_neural import MINI, gradcheck_params, kink_margin, numeric_grads
 
@@ -185,7 +185,7 @@ def test_phase1_loss_trend_on_overfit_corpus(overfit_run):
     assert increases <= 1
 
 
-def test_criterion_06_rollback_bit_compare(tmp_path):
+def test_criterion_06_rollback_bit_compare(tmp_path, monkeypatch):
     rng = np.random.default_rng(606)
     frames = 2 * (6 + MIN_FRAMES - 1)
     ds = Dataset(
@@ -195,6 +195,7 @@ def test_criterion_06_rollback_bit_compare(tmp_path):
         fit_norm([rng.normal(size=(10, NUM_BANDS))]),
     )
     k = 2
+    overflow_epochs(monkeypatch, k)  # the schedule's third epoch: phase 2 epoch k
     config = TrainConfig(
         checkpoint_dir=tmp_path,
         phase1_epochs=1,
@@ -203,13 +204,12 @@ def test_criterion_06_rollback_bit_compare(tmp_path):
         phase2_lr=5e-5,
         phase2_max_epochs=3,
         seed=9,
-        fault_hook=lambda phase, epoch: (phase, epoch) == (2, k),
     )
     result = train(ds, config)
     assert result.exploded_at == (2, k)
     previous = (tmp_path / f"p2_e{k - 1:03d}.tknm").read_bytes()
     assert result.final_path.read_bytes() == previous
-    report(6, "rollback", f"non-finite loss at phase-2 epoch {k} returned epoch {k - 1}'s bytes")
+    report(6, "rollback", f"overflow at phase-2 epoch {k} returned epoch {k - 1}'s bytes")
 
 
 def test_criterion_07_metric_oracles():

@@ -163,6 +163,26 @@ class TestDecode:
         with pytest.raises(CorruptFile):
             decode_audio(path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"OggS" + b"\x00" * 64,
+            b"RIFF\x04\x00\x00\x00WAVE",
+            craft_wav(1, 8, SAMPLE_RATE, 1, b"\x80\x80"),
+            craft_wav(3, 64, SAMPLE_RATE, 1, b"\x00" * 8),
+            craft_wav(2, 16, SAMPLE_RATE, 1, b"\x00" * 4),
+            craft_wav(1, 16, SAMPLE_RATE, 3, b"\x00" * 12),
+            craft_wav(1, 16, 0, 1, b"\x00" * 4),
+        ],
+        ids=["not-riff", "no-chunks", "8-bit", "64-bit-float", "format-tag-2", "3-channels", "zero-rate"],
+    )
+    def test_every_error_names_the_file_once(self, tmp_path, data):
+        path = tmp_path / "named.wav"
+        path.write_bytes(data)
+        with pytest.raises((CorruptFile, UnsupportedCodec)) as info:
+            decode_audio(path)
+        assert str(info.value).count(str(path)) == 1
+
 
 class TestStft:
     def test_zero_input_zero_spectra(self):

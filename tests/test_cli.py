@@ -1,3 +1,6 @@
+import warnings
+import wave
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from taikoforge.dataset import load_dataset
 from taikoforge.neural import DEFAULT_ARCH, ArchConfig, init_params, save_checkpoint
 
 from conftest import (
+    click_audio_for,
     periodic_chart,
     save_checkpoint_v1,
     save_checkpoint_with_constants,
@@ -22,10 +26,20 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def run_recording_warnings(argv):
+    """Run the CLI in-process; return its exit code and the categories of
+    the warnings it raised, each recorded however often it repeats."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, [w.category for w in caught]
+
+
 def assert_one_line_error(capsys, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
+    return err
 
 
 @pytest.fixture
@@ -103,6 +117,14 @@ class TestBuildDataset:
         code = run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", tmp_path / "nodir" / "x.tknd"])
         assert code == 2
 
+    def test_corrupt_wav_error_names_the_file_once(self, tiny_corpus, tmp_path, capsys):
+        charts_dir, audio_dir = tiny_corpus
+        (audio_dir / "song_b.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        code = run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", tmp_path / "x.tknd"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "missing fmt or data chunk" in err and err.count("song_b.wav") == 1, err
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained_checkpoint):
@@ -142,6 +164,48 @@ class TestTrain:
             ]) == 0
             finals.append((out_dir / "final.tknm").read_bytes())
         assert finals[0] == finals[1]
+
+
+@pytest.fixture
+def three_chart_dataset(tmp_path):
+    """Two training charts and one validation chart of 56 examples each, so
+    that a batch of 128 takes a whole phase-1 epoch in one Adam step."""
+    charts_dir, audio_dir = tmp_path / "charts3", tmp_path / "audio3"
+    charts_dir.mkdir()
+    audio_dir.mkdir()
+    for name, period in (("s1", 4), ("s2", 5), ("s3", 6)):
+        chart = periodic_chart(70, period=period)
+        (charts_dir / f"{name}.osu").write_text(write_osu(chart, 130.0, f"{name}.wav"))
+        write_wav_pcm16(audio_dir / f"{name}.wav", click_audio_for(chart))
+    out = tmp_path / "three.tknd"
+    assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out, "--ratio", 0.7]) == 0
+    return out
+
+
+class TestTrainExplosion:
+    """Learning rates large enough to overflow float32 stop a run by
+    rollback, never by an error: the run keeps its last finished epoch."""
+
+    @pytest.mark.parametrize(
+        "flags, exploded",
+        [
+            (["--phase1-epochs", 0, "--phase1-lr", 1e31, "--phase2-lr", 1e30, "--phase2-max", 2], (2, 1)),
+            (["--phase1-epochs", 2, "--phase1-batch", 128, "--phase1-lr", 1e30, "--phase2-lr", 1e-6, "--phase2-max", 1], (1, 1)),
+            (["--phase1-epochs", 2, "--phase1-batch", 128, "--phase1-lr", 1e20, "--phase2-lr", 1e-6, "--phase2-max", 1], (1, 1)),
+        ],
+        ids=["in-training", "in-validation-1e30", "in-validation-1e20"],
+    )
+    def test_overflow_rolls_back_and_exits_0(self, three_chart_dataset, tmp_path, capsys, flags, exploded):
+        out_dir = tmp_path / "run"
+        code, caught = run_recording_warnings(["train", "--dataset", three_chart_dataset, "--out-dir", out_dir, *flags])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        phase, epoch = exploded
+        assert f"stopped by weight explosion at phase {phase} epoch {epoch}" in out
+        assert (out_dir / "final.tknm").read_bytes() == (out_dir / "init.tknm").read_bytes()
+        assert not (out_dir / f"p{phase}_e{epoch:03d}.tknm").exists()
+        assert not [c for c in caught if issubclass(c, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
 
 
 class TestGenerate:
@@ -188,6 +252,31 @@ class TestGenerate:
             assert run(["generate", "--checkpoint", trained_checkpoint, "--audio", wav, "--out", out, "--bpm", bpm]) == 2
             assert_one_line_error(capsys, "--bpm")
             assert not out.exists()
+
+    def test_8_bit_wav_error_names_the_file(self, tmp_path, capsys):
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, init_params(DEFAULT_ARCH, seed=0))
+        wav = tmp_path / "eight.wav"
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(1)
+            w.setframerate(44100)
+            w.writeframes(b"\x80" * 44100)
+        assert run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"]) == 2
+        assert assert_one_line_error(capsys, "8-bit integer WAV is not supported").count("eight.wav") == 1
+
+    def test_extreme_output_bias_generates_without_warnings(self, tmp_path, capsys):
+        # finite weights whose logits differ by more than the float32 range
+        params = init_params(DEFAULT_ARCH, seed=0)
+        params["out_b"][:] = 3e38 * (-1.0) ** np.arange(params["out_b"].size)
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, params)
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, 0.3 * np.random.default_rng(0).normal(size=44100).clip(-1, 1))
+        code, caught = run_recording_warnings(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 0
+        assert caught == []
+        assert "Warning" not in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         checkpoint = tmp_path / "m.tknm"

@@ -8,6 +8,8 @@ from taikoforge import trainer
 from taikoforge.neural import TRUNK_CHUNK, ParamBuffer, adam_step, backward, forward, init_adam_state, init_params, loss
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
 
+from conftest import overflow_epochs
+
 
 def tiny_dataset(seed=0, per_chart=10):
     rng = np.random.default_rng(seed)
@@ -187,43 +189,33 @@ def test_train_skips_validation_of_an_exploded_epoch(tmp_path, monkeypatch):
     calls = []
     real = trainer.evaluate_loss
     monkeypatch.setattr(trainer, "evaluate_loss", lambda *args: calls.append(args) or real(*args))
-    config = quick_config(tmp_path, phase2_max_epochs=3, fault_hook=lambda phase, epoch: (phase, epoch) == (2, 2))
-    result = train(ds, config)
+    overflow_epochs(monkeypatch, 2)  # phase 2 epoch 2
+    result = train(ds, quick_config(tmp_path, phase2_max_epochs=3))
     assert result.exploded_at == (2, 2)
     assert len(calls) == len(result.records) == 2
 
 
 class TestRollback:
-    def test_injected_nan_rolls_back_to_previous_epoch(self, tmp_path):
+    def test_injected_nan_rolls_back_to_previous_epoch(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
-        config = quick_config(
-            tmp_path,
-            phase2_max_epochs=3,
-            fault_hook=lambda phase, epoch: (phase, epoch) == (2, 2),
-        )
+        overflow_epochs(monkeypatch, 2)  # phase 2 epoch 2
+        config = quick_config(tmp_path, phase2_max_epochs=3)
         result = train(ds, config)
         assert result.exploded_at == (2, 2)
         expected = (config.checkpoint_dir / "p2_e001.tknm").read_bytes()
         assert result.final_path.read_bytes() == expected
 
-    def test_returned_params_always_finite(self, tmp_path):
+    def test_returned_params_always_finite(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
-        config = quick_config(
-            tmp_path,
-            phase2_max_epochs=2,
-            fault_hook=lambda phase, epoch: (phase, epoch) == (2, 2),
-        )
-        result = train(ds, config)
+        overflow_epochs(monkeypatch, 2)  # phase 2 epoch 2
+        result = train(ds, quick_config(tmp_path, phase2_max_epochs=2))
         for _, arr in result.params.items():
             assert np.isfinite(arr).all()
 
-    def test_phase2_first_epoch_explosion_warns_and_keeps_phase1(self, tmp_path):
+    def test_phase2_first_epoch_explosion_warns_and_keeps_phase1(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
-        config = quick_config(
-            tmp_path,
-            phase2_max_epochs=2,
-            fault_hook=lambda phase, epoch: (phase, epoch) == (2, 1),
-        )
+        overflow_epochs(monkeypatch, 1)  # phase 2 epoch 1
+        config = quick_config(tmp_path, phase2_max_epochs=2)
         with pytest.warns(ExplosionAtFirstEpoch):
             result = train(ds, config)
         assert result.exploded_at == (2, 1)
@@ -232,15 +224,9 @@ class TestRollback:
 
     def test_loss_spike_triggers_rollback(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
-        calls = []
-
-        def hook(phase, epoch):
-            calls.append((phase, epoch))
-            return False
-
         # absurdly low explosion factor: the next epoch always "spikes"
         monkeypatch.setattr(trainer, "EXPLOSION_FACTOR", 1e-9)
-        config = quick_config(tmp_path, phase2_max_epochs=4, fault_hook=hook)
+        config = quick_config(tmp_path, phase2_max_epochs=4)
         with pytest.warns(ExplosionAtFirstEpoch):
             result = train(ds, config)
         assert result.exploded_at == (2, 1)
