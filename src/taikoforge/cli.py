@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: build-dataset, train, generate, evaluate, stats. Exit codes:
-0 success, 2 usage or input error, 3 internal error. All randomness runs
+0 success, 2 usage, input or file error, 3 internal error. All randomness runs
 through explicit --seed flags so reruns are bit-identical.
 """
 
@@ -34,18 +34,12 @@ def _osu_files(directory: Path) -> list[Path]:
     return files
 
 
-def _read_chart(path: Path) -> str:
-    """Chart files are UTF-8 text; anything else is an input error naming the file."""
+def _parse_chart(path: Path, parse, **kwargs):
+    """Parse a chart file, which must be UTF-8 text; its errors name the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return parse(path.read_text(encoding="utf-8"), **kwargs)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-
-
-def _with_file_context(path: Path, fn):
-    """Re-raise toolkit errors with the offending file's name prefixed."""
-    try:
-        return fn()
     except TaikoForgeError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -65,8 +59,7 @@ def cmd_build_dataset(args) -> int:
         wav_path = audio_dir / f"{chart_path.stem}.wav"
         samples, rate = audio.decode_audio(wav_path)
         length_ms = len(samples) * 1000 // rate
-        text = _read_chart(chart_path)
-        notes, _ = _with_file_context(chart_path, lambda: chart_io.parse_osu(text, song_length_ms=length_ms))
+        notes, _ = _parse_chart(chart_path, chart_io.parse_osu, song_length_ms=length_ms)
         feats = audio.log_mel_frames(samples, rate)
         return feats, notes
 
@@ -139,10 +132,9 @@ def cmd_generate(args) -> int:
 
 
 def _binarize_file(path: Path):
-    text = _read_chart(path)
     if path.suffix == ".sm":
-        return _with_file_context(path, lambda: chart_io.parse_sm(text)), None
-    notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(text))
+        return _parse_chart(path, chart_io.parse_sm), None
+    notes, _ = _parse_chart(path, chart_io.parse_osu)
     return binarize(notes), notes
 
 
@@ -162,7 +154,7 @@ def cmd_evaluate(args) -> int:
     }
     unpaired = sorted(set(model_files) ^ set(human_files))
     if not model_files or not human_files:
-        raise InputError("no charts found to evaluate")
+        raise InputError(f"no charts found to evaluate in {model_dir} and {human_dir}")
     if unpaired:
         raise InputError("unpaired songs: " + ", ".join(unpaired))
 
@@ -203,8 +195,7 @@ def cmd_stats(args) -> int:
     files = _osu_files(Path(args.charts))
 
     def load(path: Path):
-        text = _read_chart(path)
-        notes, _ = _with_file_context(path, lambda: chart_io.parse_osu(text))
+        notes, _ = _parse_chart(path, chart_io.parse_osu)
         return path.stem, metrics.note_distribution(notes)
 
     rows = dict(load(path) for path in files)
@@ -267,25 +258,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # fail on bad paths before any long-running work
-    for attr in ("charts", "audio", "dataset", "checkpoint", "model_dir", "human_dir"):
-        value = getattr(args, attr, None)
-        if value is not None and not Path(value).exists():
-            print(f"error: {attr.replace('_', '-')} path does not exist: {value}", file=sys.stderr)
-            return 2
-    for attr in ("out", "csv"):
-        value = getattr(args, attr, None)
-        if value is not None and not Path(value).resolve().parent.is_dir():
-            print(f"error: directory for --{attr} does not exist: {value}", file=sys.stderr)
-            return 2
-    # numpy's generators take no negative seed; evaluate only hashes its seed
-    if args.command in ("build-dataset", "train", "generate") and args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
-
     try:
+        # fail on a missing output directory before any long-running work
+        for attr in ("out", "csv"):
+            value = getattr(args, attr, None)
+            if value is not None and not Path(value).resolve().parent.is_dir():
+                raise InputError(f"directory for --{attr} does not exist: {value}")
+        # numpy's generators take no negative seed; evaluate only hashes its seed
+        if args.command in ("build-dataset", "train", "generate") and args.seed < 0:
+            raise InputError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
-    except TaikoForgeError as exc:
+    except (TaikoForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -67,8 +67,3 @@ class NonFiniteActivation(TaikoForgeError):
 
 class NonFiniteGradient(TaikoForgeError):
     """A backward pass produced NaN or infinity."""
-
-
-class ExplosionAtFirstEpoch(UserWarning):
-    """Fine-tuning phase exploded on its very first epoch; the result
-    falls back to the initial-phase checkpoint."""

@@ -20,10 +20,10 @@ stored feature rows, then the shared recurrent layers and head.
 
 from __future__ import annotations
 
+import itertools
 import math
 import shutil
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,7 +32,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .dataset import Dataset
-from .errors import ExplosionAtFirstEpoch, NonFiniteActivation, NonFiniteGradient
+from .errors import NonFiniteActivation, NonFiniteGradient
 from .neural import (
     DEFAULT_ARCH,
     TRUNK_CHUNK,
@@ -171,8 +171,11 @@ def train(
     records: list[EpochRecord] = []
     exploded_at: tuple[int, int] | None = None
 
-    schedule = [(1, e + 1, config.phase1_lr, config.phase1_batch) for e in range(config.phase1_epochs)]
-    schedule += [(2, e + 1, config.phase2_lr, 1) for e in range(config.phase2_max_epochs)]
+    # built lazily: phase 2 may be given a huge epoch cap, as it runs until an explosion
+    schedule = itertools.chain(
+        ((1, e + 1, config.phase1_lr, config.phase1_batch) for e in range(config.phase1_epochs)),
+        ((2, e + 1, config.phase2_lr, 1) for e in range(config.phase2_max_epochs)),
+    )
 
     for phase, epoch, lr, batch_size in schedule:
         started = time.perf_counter()
@@ -188,9 +191,6 @@ def train(
                 why = str(exc)
         if why is not None:
             exploded_at = (phase, epoch)
-            if exploded_at == (2, 1):
-                message = "fine-tuning exploded on its first epoch; keeping the phase-1 result"
-                warnings.warn(message, ExplosionAtFirstEpoch)
             if log:
                 log(f"phase {phase} epoch {epoch:3d}  exploded ({why}); rolling back")
             params, state = load_checkpoint(best_path)

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from taikoforge.audio import NUM_BANDS, NormStats
 from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
-from taikoforge.errors import ExplosionAtFirstEpoch
 from taikoforge import trainer
 from taikoforge.neural import TRUNK_CHUNK, ParamBuffer, adam_step, backward, forward, init_adam_state, init_params, loss
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
@@ -195,6 +196,27 @@ def test_train_skips_validation_of_an_exploded_epoch(tmp_path, monkeypatch):
     assert len(calls) == len(result.records) == 2
 
 
+def test_phase2_epoch_cap_costs_no_memory(tmp_path, monkeypatch):
+    # phase 2 runs until an explosion, so its cap may be far beyond any
+    # run's length; the schedule must not be built before the first epoch
+    ds = tiny_dataset()
+
+    def peak(max_epochs, name):
+        with monkeypatch.context() as patch:
+            overflow_epochs(patch, 1)  # phase 2 epoch 1
+            tracemalloc.start()
+            try:
+                result = train(ds, quick_config(tmp_path / name, phase2_max_epochs=max_epochs))
+                _, peak_bytes = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert result.exploded_at == (2, 1)
+        return peak_bytes
+
+    peak(1, "warm")  # one-time allocations stay out of the comparison
+    assert peak(10**6, "huge") <= peak(1, "one") + 2**20
+
+
 class TestRollback:
     def test_injected_nan_rolls_back_to_previous_epoch(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
@@ -212,12 +234,11 @@ class TestRollback:
         for _, arr in result.params.items():
             assert np.isfinite(arr).all()
 
-    def test_phase2_first_epoch_explosion_warns_and_keeps_phase1(self, tmp_path, monkeypatch):
+    def test_phase2_first_epoch_explosion_keeps_phase1(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
         overflow_epochs(monkeypatch, 1)  # phase 2 epoch 1
         config = quick_config(tmp_path, phase2_max_epochs=2)
-        with pytest.warns(ExplosionAtFirstEpoch):
-            result = train(ds, config)
+        result = train(ds, config)
         assert result.exploded_at == (2, 1)
         expected = (config.checkpoint_dir / "p1_e001.tknm").read_bytes()
         assert result.final_path.read_bytes() == expected
@@ -227,8 +248,7 @@ class TestRollback:
         # absurdly low explosion factor: the next epoch always "spikes"
         monkeypatch.setattr(trainer, "EXPLOSION_FACTOR", 1e-9)
         config = quick_config(tmp_path, phase2_max_epochs=4)
-        with pytest.warns(ExplosionAtFirstEpoch):
-            result = train(ds, config)
+        result = train(ds, config)
         assert result.exploded_at == (2, 1)
         assert result.final_path.exists()
 
