@@ -8,6 +8,7 @@ training corpus.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from .errors import CorruptFile, EmptyCorpus, ShapeMismatch, UnsupportedCodec
 
 SAMPLE_RATE = 44100
 WINDOW_SAMPLES = round(FRAME_MS * SAMPLE_RATE / 1000)  # 1014
+FRAME_STEP = FRAME_MS * SAMPLE_RATE / 1000.0  # 1014.3
 FFT_SIZE = 1024
 SPECTRUM_BINS = FFT_SIZE // 2 + 1  # 513
 NUM_BANDS = 80
@@ -52,58 +54,114 @@ def _decode_pcm(raw: bytes, bits: int, fmt: int, path: str | Path) -> np.ndarray
     raise UnsupportedCodec(f"{path}: {bits}-bit integer WAV is not supported")
 
 
-def decode_audio(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a PCM WAV file as mono float samples in [-1, 1] at 44100 Hz.
+@dataclass(frozen=True)
+class WavHeader:
+    """What a WAV file's chunks declare, checked against the file's size
+    and the supported formats: where its sample frames lie, and how many
+    44.1 kHz samples they decode to."""
 
-    Accepts 1- or 2-channel files at 16/24/32-bit integer or 32-bit float
-    depth. Stereo is averaged to mono; other sample rates are linearly
-    interpolated up or down to 44100 Hz.
+    path: Path
+    fmt: int
+    channels: int
+    rate: int
+    bits: int
+    #: file offset of the data chunk's first byte
+    data_start: int
+    #: whole sample frames (one sample per channel) in the data chunk
+    frames: int
+    #: mono samples after resampling to 44.1 kHz
+    samples: int
+
+
+def read_header(path: str | Path) -> WavHeader:
+    """Walk a WAV file's chunks and check them, reading no sample.
+
+    A later fmt or data chunk replaces an earlier one, and odd chunk sizes
+    are padded. A data chunk that declares more bytes than the file holds,
+    or a song past ``MAX_SONG_MS`` once resampled, is refused here, so that
+    no hostile header costs more than the header's own bytes.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise CorruptFile(f"{path}: not a RIFF/WAVE file")
-
-    fmt_chunk = None
-    data_chunk = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if cid == b"fmt ":
-            fmt_chunk = body
-        elif cid == b"data":
-            if len(body) < size:
-                raise CorruptFile(f"{path}: data chunk truncated")
-            data_chunk = body
-        pos += 8 + size + (size & 1)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise CorruptFile(f"{path}: not a RIFF/WAVE file")
+        fmt_chunk = None
+        data_chunk = None
+        pos = 12
+        while pos + 8 <= size:
+            f.seek(pos)
+            cid, chunk_size = struct.unpack("<4sI", f.read(8))
+            if cid == b"fmt ":
+                fmt_chunk = f.read(min(chunk_size, 16))
+            elif cid == b"data":
+                if pos + 8 + chunk_size > size:
+                    raise CorruptFile(f"{path}: data chunk truncated")
+                data_chunk = (pos + 8, chunk_size)
+            pos += 8 + chunk_size + (chunk_size & 1)
     if fmt_chunk is None or data_chunk is None:
         raise CorruptFile(f"{path}: missing fmt or data chunk")
     if len(fmt_chunk) < 16:
         raise CorruptFile(f"{path}: fmt chunk too short")
 
-    fmt, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt_chunk)
+    fmt, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt_chunk)
     if channels not in (1, 2):
         raise UnsupportedCodec(f"{path}: {channels}-channel WAV is not supported")
+    _decode_pcm(b"", bits, fmt, path)  # raises for a format it does not decode
+    data_start, n_bytes = data_chunk
     if block_align:
-        data_chunk = data_chunk[: len(data_chunk) - len(data_chunk) % block_align]
-
-    try:
-        samples = _decode_pcm(data_chunk, bits, fmt, path)
-    except ValueError as exc:
-        raise CorruptFile(f"{path}: data chunk not aligned to the sample size") from exc
-    if channels == 2:
-        samples = samples[: len(samples) - len(samples) % 2].reshape(-1, 2).mean(axis=1)
-    samples = np.clip(samples, -1.0, 1.0)
-
+        n_bytes -= n_bytes % block_align
+    if n_bytes % (bits // 8):
+        raise CorruptFile(f"{path}: data chunk not aligned to the sample size")
     if rate == 0:
         raise CorruptFile(f"{path}: zero sample rate")
-    n_out = int(round(len(samples) * SAMPLE_RATE / rate))
-    if n_out > MAX_SONG_MS * SAMPLE_RATE // 1000:
-        raise CorruptFile(f"{path}: {len(samples)} samples at {rate} Hz exceed the {MAX_SONG_MS}ms limit")
-    if rate != SAMPLE_RATE and len(samples):
-        positions = np.arange(n_out) * (rate / SAMPLE_RATE)
-        samples = np.interp(positions, np.arange(len(samples)), samples)
+    frames = n_bytes // (bits // 8) // channels
+    samples = int(round(frames * SAMPLE_RATE / rate))
+    if samples > MAX_SONG_MS * SAMPLE_RATE // 1000:
+        raise CorruptFile(f"{path}: {frames} samples at {rate} Hz exceed the {MAX_SONG_MS}ms limit")
+    return WavHeader(Path(path), fmt, channels, rate, bits, data_start, frames, samples)
+
+
+def decode_audio(
+    wav: str | Path | WavHeader, first: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Read a PCM WAV file as mono float samples in [-1, 1] at 44100 Hz:
+    its samples ``first`` up to ``stop`` (by default the whole song).
+
+    Accepts 1- or 2-channel files at 16/24/32-bit integer or 32-bit float
+    depth. Stereo is averaged to mono; other sample rates are linearly
+    interpolated up or down to 44100 Hz. Only the sample frames that the
+    span interpolates between are read, and any span holds the same
+    values, bit for bit, as that part of the whole song: the mix and the
+    clip work sample by sample, and output sample k sits at source
+    position ``k * rate / 44100`` wherever the span starts.
+    """
+    if not isinstance(wav, WavHeader):
+        wav = read_header(wav)
+    stop = wav.samples if stop is None else min(stop, wav.samples)
+    lo = hi = 0
+    positions = None
+    if first < stop and wav.rate == SAMPLE_RATE:
+        lo, hi = first, stop
+    elif first < stop:
+        positions = np.arange(first, stop) * (wav.rate / SAMPLE_RATE)
+        # np.interp reads the source samples on either side of a position,
+        # and the last one for a position past it
+        lo = min(int(positions[0]), wav.frames - 1)
+        hi = min(int(positions[-1]) + 2, wav.frames)
+
+    frame_bytes = wav.channels * wav.bits // 8
+    with open(wav.path, "rb") as f:
+        f.seek(wav.data_start + lo * frame_bytes)
+        raw = f.read((hi - lo) * frame_bytes)
+    if len(raw) < (hi - lo) * frame_bytes:
+        raise CorruptFile(f"{wav.path}: data chunk truncated")
+    samples = _decode_pcm(raw, wav.bits, wav.fmt, wav.path)
+    if wav.channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    samples = np.clip(samples, -1.0, 1.0)
+    if positions is not None:
+        samples = np.interp(positions, np.arange(lo, hi), samples)
     return samples, SAMPLE_RATE
 
 
@@ -112,26 +170,34 @@ def frame_count_for(n_samples: int) -> int:
     return n_samples * 1000 // (SAMPLE_RATE * FRAME_MS)
 
 
-def stft_frames(samples: np.ndarray, sample_rate: int, first: int = 0, stop: int | None = None) -> np.ndarray:
+def frame_start(k: int) -> int:
+    """First sample of frame k: rint(k * 1014.3), recomputed per frame so
+    that no cumulative drift builds up over long songs."""
+    return int(np.rint(k * FRAME_STEP))
+
+
+def stft_frames(
+    samples: np.ndarray, sample_rate: int, first: int = 0, stop: int | None = None, offset: int = 0
+) -> np.ndarray:
     """Magnitude spectra on the 23ms grid, one 513-bin row per frame, for
     frames ``first`` up to ``stop`` (by default every frame).
 
-    Frame k starts at sample rint(k * 1014.3) — recomputed per frame so no
-    cumulative drift builds up over long songs. Each 1014-sample segment is
-    Hann-weighted and zero-padded to 1024 before the FFT; segments running
-    past the signal end are zero-padded rather than rejected.
+    ``samples`` may be a span of the song that starts at its sample
+    ``offset`` and holds every sample the frames read. Each 1014-sample
+    segment from :func:`frame_start` on is Hann-weighted and zero-padded to
+    1024 before the FFT; segments running past the signal end are
+    zero-padded rather than rejected.
     """
     if sample_rate != SAMPLE_RATE:
         raise ValueError(f"expected {SAMPLE_RATE} Hz input, got {sample_rate}")
     samples = np.asarray(samples, dtype=np.float64)
     if stop is None:
-        stop = frame_count_for(len(samples))
+        stop = frame_count_for(offset + len(samples))
     window = np.hanning(WINDOW_SAMPLES)
-    step = FRAME_MS * SAMPLE_RATE / 1000.0
 
     segs = np.zeros((max(stop - first, 0), FFT_SIZE), dtype=np.float64)
     for row, k in enumerate(range(first, stop)):
-        start = int(np.rint(k * step))
+        start = frame_start(k) - offset
         seg = samples[start : start + WINDOW_SAMPLES]
         segs[row, : len(seg)] = seg
     segs[:, :WINDOW_SAMPLES] *= window
@@ -215,16 +281,26 @@ def apply_norm(frames: np.ndarray, stats: NormStats) -> np.ndarray:
     return (frames - stats.mean) / stats.std
 
 
-#: Frames per block of :func:`log_mel_frames`. A block's STFT holds its
-#: segments and their spectra, about 5 MB at 256 frames, so the
-#: front end's working memory does not grow with the song's length.
+#: Frames per block of the log-Mel features. A block's decode and STFT
+#: hold its samples, segments and spectra, about 7 MiB at 256 frames of
+#: 44.1 kHz stereo, so the front end's working memory does not grow with
+#: the song's length.
 FEATURE_BLOCK = 256
 
+#: Bytes that :func:`song_features` allocates, untouched, and frees before
+#: its blocks. glibc serves each request of at least its mmap threshold
+#: from fresh zeroed pages, and raises that threshold, and the heap's trim
+#: threshold to twice as much, only when it frees a larger mapped request
+#: (up to 32 MiB). The blocks' 1-9 MB temporaries would otherwise come from
+#: fresh pages block after block: 31.7k page faults and twice the time over
+#: a 95 s corpus, against none with the hint. Untouched pages are never
+#: resident, and other allocators ignore the hint.
+ALLOCATOR_HINT_BYTES = 16 << 20
 
-def log_mel_frames(samples: np.ndarray, sample_rate: int) -> np.ndarray:
-    """The (frames, 80) log-Mel features of a decoded song, bit for bit
-    those of ``mel_project(stft_frames(samples, sample_rate))``, computed
-    in blocks of :data:`FEATURE_BLOCK` frames.
+
+def _in_blocks(n_frames: int, block) -> np.ndarray:
+    """The (frames, 80) features ``block(a, b)`` returns for frames a..b-1,
+    computed in blocks of :data:`FEATURE_BLOCK` frames.
 
     The Mel projection is a matrix product, whose rows round alike in any
     product whose row tiles line up, so blocks start at multiples of 256
@@ -232,19 +308,45 @@ def log_mel_frames(samples: np.ndarray, sample_rate: int) -> np.ndarray:
     products of a few rows take other BLAS routines (numpy sends one row
     to a matrix-vector product, OpenBLAS sends fewer than 16 rows to its
     small-matrix kernels), which round otherwise. A song of one block
-    returns that block's array, as the whole-song computation does:
-    copying every song into an output allocated ahead of the STFT's
-    buffers nearly doubled the page faults of ``build-dataset`` over 3-8 s
-    songs and made it about 25% slower.
+    returns that block's array: copying every song into an output
+    allocated ahead of the STFT's buffers nearly doubled the page faults
+    of ``build-dataset`` over 3-8 s songs and made it about 25% slower.
+    Longer songs are written into one output block by block, so that
+    they never hold their features twice.
     """
-    n_frames = frame_count_for(len(samples))
     edges = [*range(0, max(n_frames - FEATURE_BLOCK // 4, 1), FEATURE_BLOCK), n_frames]
-    blocks = [mel_project(stft_frames(samples, sample_rate, a, b)) for a, b in zip(edges[:-1], edges[1:])]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if len(edges) == 2:
+        return block(0, n_frames)
+    out = np.empty((n_frames, NUM_BANDS))
+    for a, b in zip(edges[:-1], edges[1:]):
+        out[a:b] = block(a, b)
+    return out
 
 
-def song_features(path: str | Path, stats: NormStats | None = None) -> np.ndarray:
-    """Full front end for one song: decode -> STFT -> log-Mel [-> normalize]."""
-    feats = log_mel_frames(*decode_audio(path))
-    return apply_norm(feats, stats) if stats is not None else feats
+def log_mel_frames(samples: np.ndarray, sample_rate: int) -> np.ndarray:
+    """The (frames, 80) log-Mel features of a decoded song, bit for bit
+    those of ``mel_project(stft_frames(samples, sample_rate))``."""
+    return _in_blocks(
+        frame_count_for(len(samples)), lambda a, b: mel_project(stft_frames(samples, sample_rate, a, b))
+    )
 
+
+def song_features(wav: str | Path | WavHeader, stats: NormStats | None = None) -> np.ndarray:
+    """Full front end for one song: decode -> STFT -> log-Mel [-> normalize],
+    bit for bit ``mel_project(stft_frames(*decode_audio(wav)))``.
+
+    Each block of frames decodes only the samples its STFT reads, so that
+    nothing song-length is held but the features.
+    """
+    if not isinstance(wav, WavHeader):
+        wav = read_header(wav)
+    np.empty(ALLOCATOR_HINT_BYTES, dtype=np.uint8)  # freed at once; see ALLOCATOR_HINT_BYTES
+
+    def block(a: int, b: int) -> np.ndarray:
+        lo = frame_start(a)
+        hi = min(frame_start(b - 1) + WINDOW_SAMPLES, wav.samples) if b > a else lo
+        samples, rate = decode_audio(wav, lo, hi)
+        feats = mel_project(stft_frames(samples, rate, a, b, offset=lo))
+        return feats if stats is None else apply_norm(feats, stats)
+
+    return _in_blocks(frame_count_for(wav.samples), block)

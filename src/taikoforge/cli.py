@@ -56,12 +56,10 @@ def cmd_build_dataset(args) -> int:
         raise InputError("missing audio for chart(s): " + ", ".join(missing))
 
     def prepare(chart_path: Path):
-        wav_path = audio_dir / f"{chart_path.stem}.wav"
-        samples, rate = audio.decode_audio(wav_path)
-        length_ms = len(samples) * 1000 // rate
+        wav = audio.read_header(audio_dir / f"{chart_path.stem}.wav")
+        length_ms = wav.samples * 1000 // audio.SAMPLE_RATE
         notes, _ = _parse_chart(chart_path, chart_io.parse_osu, song_length_ms=length_ms)
-        feats = audio.log_mel_frames(samples, rate)
-        return feats, notes
+        return audio.song_features(wav), notes
 
     charts = {p.stem: prepare(p) for p in chart_files}
     ds = dataset.assemble(charts, ratio=args.ratio, seed=args.seed)
@@ -259,10 +257,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # fail on a missing output directory before any long-running work
+        # fail on an output path that cannot be written before any long-running work
         for attr in ("out", "csv"):
             value = getattr(args, attr, None)
-            if value is not None and not Path(value).resolve().parent.is_dir():
+            if value is None:
+                continue
+            if Path(value).is_dir():
+                raise InputError(f"--{attr} is a directory: {value}")
+            if not Path(value).resolve().parent.is_dir():
                 raise InputError(f"directory for --{attr} does not exist: {value}")
         # numpy's generators take no negative seed; evaluate only hashes its seed
         if args.command in ("build-dataset", "train", "generate") and args.seed < 0:

@@ -25,6 +25,7 @@ from taikoforge.audio import (
     mel_filterbank,
     mel_project,
     mel_to_hz,
+    read_header,
     song_features,
     stft_frames,
 )
@@ -284,6 +285,125 @@ class TestBlockedFeatures:
             tracemalloc.stop()
         # the whole-song STFT alone holds 8000 x 1024 float64 segments (65 MB)
         assert peak - out.nbytes < 16 * 2**20
+
+
+def write_sparse_wav(path, rate, channels, n_bytes):
+    """A 16-bit PCM WAV whose data chunk declares n_bytes of silence,
+    written sparse: the header, then a truncate to the full length."""
+    header = bytearray(craft_wav(1, 16, rate, channels, b""))
+    struct.pack_into("<I", header, 4, len(header) - 8 + n_bytes)
+    struct.pack_into("<I", header, len(header) - 4, n_bytes)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.truncate(len(header) + n_bytes)
+
+
+class Traced:
+    """Traces allocations inside the block; ``peak`` is their peak."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+class TestHeader:
+    def test_over_long_song_refused_before_decoding(self, tmp_path):
+        # 31 minutes at 8 kHz: 30 MB of data, which a whole-file decode
+        # turns into three 119 MB float64 arrays, refused from the data
+        # chunk's size alone
+        path = tmp_path / "long.wav"
+        write_sparse_wav(path, 8000, 1, 31 * 60 * 8000 * 2)
+        with Traced() as traced, pytest.raises(CorruptFile, match="exceed"):
+            song_features(path)
+        assert traced.peak < 2**20
+
+    def test_data_chunk_past_the_file_end_refused_before_reading(self, tmp_path):
+        path = tmp_path / "short.wav"
+        data = bytearray(craft_wav(1, 16, SAMPLE_RATE, 1, b"\x00\x00" * 1000))
+        struct.pack_into("<I", data, len(data) - 2004, 0xFFFFFFF0)
+        path.write_bytes(data)
+        with Traced() as traced, pytest.raises(CorruptFile, match="truncated"):
+            decode_audio(path)
+        assert traced.peak < 2**20
+
+    def test_header_gives_the_decoded_length(self, tmp_path):
+        path = tmp_path / "s.wav"
+        write_wav_pcm16(path, np.zeros(5000), rate=22050, channels=2)
+        header = read_header(path)
+        assert (header.frames, header.samples) == (5000, len(decode_audio(path)[0])) == (5000, 10000)
+
+
+#: (format tag, bits): 16-, 24- and 32-bit integer and 32-bit float
+STREAMED_FORMATS = [(1, 16), (1, 24), (1, 32), (3, 32)]
+STREAMED_FRAMES = [0, 1, FEATURE_BLOCK - 1, FEATURE_BLOCK + 1] + [
+    2 * FEATURE_BLOCK + FEATURE_BLOCK // 4 + d for d in (-1, 1)
+]
+
+
+def random_payload(rng, fmt, bits, n_samples) -> bytes:
+    """Random sample bytes; floats reach past [-1, 1] so the clip is used."""
+    if fmt == 3:
+        return rng.uniform(-1.5, 1.5, n_samples).astype("<f4").tobytes()
+    return rng.integers(0, 256, n_samples * bits // 8, dtype=np.uint8).tobytes()
+
+
+def assert_streamed_equals_whole_song(path):
+    decoded, rate = decode_audio(path)
+    want = mel_project(stft_frames(decoded, rate))
+    got = song_features(path)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestStreamedFeatures:
+    # the reference decodes the whole song, then runs the STFT and the Mel
+    # projection over it in one call each
+    @pytest.mark.parametrize("frames", STREAMED_FRAMES)
+    @pytest.mark.parametrize("rate", [SAMPLE_RATE, 22050, 48000])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("fmt,bits", STREAMED_FORMATS, ids=["int16", "int24", "int32", "float32"])
+    def test_bit_identical_to_whole_song(self, tmp_path, fmt, bits, channels, rate, frames):
+        # a few hundred samples past the last frame's start, short of the next frame
+        out_samples = (frames * SAMPLE_RATE * 23 + 999) // 1000 + 300
+        n = round(out_samples * rate / SAMPLE_RATE)
+        rng = np.random.default_rng([fmt, bits, channels, rate, frames])
+        path = tmp_path / "song.wav"
+        path.write_bytes(craft_wav(fmt, bits, rate, channels, random_payload(rng, fmt, bits, n * channels)))
+        got = assert_streamed_equals_whole_song(path)
+        assert got.shape == (frames, NUM_BANDS)
+
+    def test_odd_length_stereo_data_chunk(self, tmp_path):
+        # 16-bit stereo, 3 bytes past the last whole frame, so the chunk is
+        # padded and the next chunk starts one byte later
+        rng = np.random.default_rng(9)
+        payload = random_payload(rng, 1, 16, 2 * 300_000) + b"\x01\x02\x03"
+        data = craft_wav(1, 16, SAMPLE_RATE, 2, payload) + b"\x00" + b"LIST" + struct.pack("<I", 4) + b"INFO"
+        path = tmp_path / "odd.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(data) - 8) + data[8:])
+        got = assert_streamed_equals_whole_song(path)
+        assert got.shape == (frame_count_for(300_000), NUM_BANDS)
+
+    def test_normalized_blocks_equal_normalizing_the_song(self, tmp_path):
+        path = tmp_path / "song.wav"
+        write_wav_pcm16(path, samples_for_frames(np.random.default_rng(8), 3 * FEATURE_BLOCK), rate=48000)
+        raw = song_features(path)
+        stats = NormStats(raw.mean(axis=0), raw.std(axis=0) + 1.0)
+        assert np.array_equal(song_features(path, stats), apply_norm(raw, stats))
+
+    def test_working_memory_is_one_block(self, tmp_path):
+        # 10 minutes of 44.1 kHz 16-bit stereo: 101 MiB of data, whose
+        # features are 16 MiB
+        path = tmp_path / "ten_minutes.wav"
+        write_sparse_wav(path, SAMPLE_RATE, 2, 600 * SAMPLE_RATE * 4)
+        with Traced() as traced:
+            out = song_features(path)
+        assert out.shape == (frame_count_for(600 * SAMPLE_RATE), NUM_BANDS)
+        assert traced.peak - out.nbytes <= 16 * 2**20
 
 
 class TestMel:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from taikoforge import cli
+from taikoforge import cli, generator, metrics
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
@@ -558,6 +558,21 @@ class TestFileErrors:
         argv, path = case(files)
         assert run(argv) == 2
         assert_one_line_error(capsys, str(path))
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_output_that_is_a_directory_exits_2_before_any_work(self, files, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the output check")
+
+        monkeypatch.setattr(generator, "generate", refuse)
+        monkeypatch.setattr(metrics, "evaluate_pair", refuse)
+        argv = {
+            "generate": ["generate", "--checkpoint", files.checkpoint, "--audio", files.wav, "--out", files.dir],
+            "evaluate": ["evaluate", "--model-dir", files.charts, "--human-dir", files.charts, "--csv", files.dir],
+        }[command]
+        assert run(argv) == 2
+        err = assert_one_line_error(capsys, str(files.dir))
+        assert ".tmp" not in err
 
     @pytest.mark.parametrize("case", MISSING_INPUT.values(), ids=MISSING_INPUT.keys())
     def test_missing_input_exits_2_without_output(self, files, capsys, case):
