@@ -122,9 +122,7 @@ def read_header(path: str | Path) -> WavHeader:
     return WavHeader(Path(path), fmt, channels, rate, bits, data_start, frames, samples)
 
 
-def decode_audio(
-    wav: str | Path | WavHeader, first: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, int]:
+def decode_audio(wav: str | Path | WavHeader, first: int = 0, stop: int | None = None) -> np.ndarray:
     """Read a PCM WAV file as mono float samples in [-1, 1] at 44100 Hz:
     its samples ``first`` up to ``stop`` (by default the whole song).
 
@@ -162,7 +160,7 @@ def decode_audio(
     samples = np.clip(samples, -1.0, 1.0)
     if positions is not None:
         samples = np.interp(positions, np.arange(lo, hi), samples)
-    return samples, SAMPLE_RATE
+    return samples
 
 
 def frame_count_for(n_samples: int) -> int:
@@ -176,11 +174,10 @@ def frame_start(k: int) -> int:
     return int(np.rint(k * FRAME_STEP))
 
 
-def stft_frames(
-    samples: np.ndarray, sample_rate: int, first: int = 0, stop: int | None = None, offset: int = 0
-) -> np.ndarray:
-    """Magnitude spectra on the 23ms grid, one 513-bin row per frame, for
-    frames ``first`` up to ``stop`` (by default every frame).
+def stft_frames(samples: np.ndarray, first: int = 0, stop: int | None = None, offset: int = 0) -> np.ndarray:
+    """Magnitude spectra of 44.1 kHz samples on the 23ms grid, one 513-bin
+    row per frame, for frames ``first`` up to ``stop`` (by default every
+    frame).
 
     ``samples`` may be a span of the song that starts at its sample
     ``offset`` and holds every sample the frames read. Each 1014-sample
@@ -188,8 +185,6 @@ def stft_frames(
     1024 before the FFT; segments running past the signal end are
     zero-padded rather than rejected.
     """
-    if sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected {SAMPLE_RATE} Hz input, got {sample_rate}")
     samples = np.asarray(samples, dtype=np.float64)
     if stop is None:
         stop = frame_count_for(offset + len(samples))
@@ -298,55 +293,29 @@ FEATURE_BLOCK = 256
 ALLOCATOR_HINT_BYTES = 16 << 20
 
 
-def _in_blocks(n_frames: int, block) -> np.ndarray:
-    """The (frames, 80) features ``block(a, b)`` returns for frames a..b-1,
-    computed in blocks of :data:`FEATURE_BLOCK` frames.
-
-    The Mel projection is a matrix product, whose rows round alike in any
-    product whose row tiles line up, so blocks start at multiples of 256
-    rows. A tail of at most a quarter block joins the block before it:
-    products of a few rows take other BLAS routines (numpy sends one row
-    to a matrix-vector product, OpenBLAS sends fewer than 16 rows to its
-    small-matrix kernels), which round otherwise. A song of one block
-    returns that block's array: copying every song into an output
-    allocated ahead of the STFT's buffers nearly doubled the page faults
-    of ``build-dataset`` over 3-8 s songs and made it about 25% slower.
-    Longer songs are written into one output block by block, so that
-    they never hold their features twice.
-    """
-    edges = [*range(0, max(n_frames - FEATURE_BLOCK // 4, 1), FEATURE_BLOCK), n_frames]
-    if len(edges) == 2:
-        return block(0, n_frames)
-    out = np.empty((n_frames, NUM_BANDS))
-    for a, b in zip(edges[:-1], edges[1:]):
-        out[a:b] = block(a, b)
-    return out
-
-
-def log_mel_frames(samples: np.ndarray, sample_rate: int) -> np.ndarray:
-    """The (frames, 80) log-Mel features of a decoded song, bit for bit
-    those of ``mel_project(stft_frames(samples, sample_rate))``."""
-    return _in_blocks(
-        frame_count_for(len(samples)), lambda a, b: mel_project(stft_frames(samples, sample_rate, a, b))
-    )
-
-
 def song_features(wav: str | Path | WavHeader, stats: NormStats | None = None) -> np.ndarray:
     """Full front end for one song: decode -> STFT -> log-Mel [-> normalize],
-    bit for bit ``mel_project(stft_frames(*decode_audio(wav)))``.
+    bit for bit ``mel_project(stft_frames(decode_audio(wav)))``.
 
-    Each block of frames decodes only the samples its STFT reads, so that
-    nothing song-length is held but the features.
+    The frames are computed in blocks of :data:`FEATURE_BLOCK`, each of
+    which decodes only the samples its STFT reads and is normalized as it
+    is written into the one output, so that nothing song-length is held
+    but the features. The Mel projection is a matrix product, whose rows
+    round alike in any product whose row tiles line up, so blocks start at
+    multiples of 256 rows. A tail of at most a quarter block joins the
+    block before it: products of a few rows take other BLAS routines
+    (numpy sends one row to a matrix-vector product, OpenBLAS sends fewer
+    than 16 rows to its small-matrix kernels), which round otherwise.
     """
     if not isinstance(wav, WavHeader):
         wav = read_header(wav)
     np.empty(ALLOCATOR_HINT_BYTES, dtype=np.uint8)  # freed at once; see ALLOCATOR_HINT_BYTES
-
-    def block(a: int, b: int) -> np.ndarray:
+    n_frames = frame_count_for(wav.samples)
+    out = np.empty((n_frames, NUM_BANDS))
+    edges = [*range(0, max(n_frames - FEATURE_BLOCK // 4, 1), FEATURE_BLOCK), n_frames]
+    for a, b in zip(edges[:-1], edges[1:]):
         lo = frame_start(a)
         hi = min(frame_start(b - 1) + WINDOW_SAMPLES, wav.samples) if b > a else lo
-        samples, rate = decode_audio(wav, lo, hi)
-        feats = mel_project(stft_frames(samples, rate, a, b, offset=lo))
-        return feats if stats is None else apply_norm(feats, stats)
-
-    return _in_blocks(frame_count_for(wav.samples), block)
+        feats = mel_project(stft_frames(decode_audio(wav, lo, hi), a, b, offset=lo))
+        out[a:b] = feats if stats is None else apply_norm(feats, stats)
+    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,23 @@ def _osu_files(directory: Path) -> list[Path]:
     return files
 
 
+@contextmanager
+def _named(name):
+    """Put ``name`` (a song or a file) in front of any package error raised
+    inside the block."""
+    try:
+        yield
+    except TaikoForgeError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
 def _parse_chart(path: Path, parse, **kwargs):
     """Parse a chart file, which must be UTF-8 text; its errors name the file."""
-    try:
-        return parse(path.read_text(encoding="utf-8"), **kwargs)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    except TaikoForgeError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    with _named(path):
+        try:
+            return parse(path.read_text(encoding="utf-8"), **kwargs)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"not UTF-8 text (byte {exc.start})") from exc
 
 
 def cmd_build_dataset(args) -> int:
@@ -168,7 +178,8 @@ def cmd_evaluate(args) -> int:
         model_notes, human_notes = (
             None if c is None else NoteFrameSequence(_pad(c.frames, n)) for c in (model_notes, human_notes)
         )
-        ev = metrics.evaluate_pair(song, model_bits, human_bits, seed=args.seed, draws=args.draws)
+        with _named(song):
+            ev = metrics.evaluate_pair(song, model_bits, human_bits, seed=args.seed, draws=args.draws)
         return ev, model_notes, human_notes
 
     results = [eval_song(song) for song in sorted(model_files)]
@@ -194,7 +205,8 @@ def cmd_stats(args) -> int:
 
     def load(path: Path):
         notes, _ = _parse_chart(path, chart_io.parse_osu)
-        return path.stem, metrics.note_distribution(notes)
+        with _named(path):
+            return path.stem, metrics.note_distribution(notes)
 
     rows = dict(load(path) for path in files)
     if len(rows) > 1:

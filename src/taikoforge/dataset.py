@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .audio import NUM_BANDS, NormStats, apply_norm, fit_norm
-from .chart import NUM_CLASSES, NoteClass, NoteFrameSequence, one_hot_rows
+from .chart import NUM_CLASSES, NoteClass, one_hot_rows
 from .errors import BadMagic, CorruptFile, TooFewCharts, TooShort, TruncatedFile, VersionMismatch
 from .neural import DEFAULT_ARCH
 
@@ -136,24 +136,6 @@ class Dataset:
         return np.concatenate(out) if out else np.empty(0, dtype=np.intp)
 
 
-def _pad_chart(features: np.ndarray, notes: NoteFrameSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Align one chart's feature rows and note frames by index.
-
-    Whichever is shorter is padded (zero frames / no-note) to the longer
-    length. A chart shorter than 19 frames yields no example: TooShort.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float32))
-    frames = notes.frames
-    n = max(features.shape[0], frames.size)
-    if n < MIN_FRAMES:
-        raise TooShort(f"need at least {MIN_FRAMES} frames, got {n}")
-    if features.shape[0] < n:
-        features = np.vstack([features, np.zeros((n - features.shape[0], features.shape[1]), dtype=np.float32)])
-    if frames.size < n:
-        frames = np.concatenate([frames, np.full(n - frames.size, int(NoteClass.NO_NOTE), dtype=np.uint8)])
-    return features, frames
-
-
 def split_dataset(chart_ids, ratio: float = 0.9, seed: int = 0) -> tuple[list[str], list[str]]:
     """Deterministically shuffle chart ids and cut off the first 90% as train."""
     ids = sorted(chart_ids)
@@ -171,21 +153,34 @@ def assemble(charts: dict, ratio: float = 0.9, seed: int = 0) -> Dataset:
     """Build a full dataset from ``{chart_id: (log_mel_features, notes)}``.
 
     Splits by chart (never by example, to keep adjacent windows out of the
-    validation set), fits normalization on the training charts only, then
-    normalizes and pads every chart.
+    validation set) and fits normalization on the training charts only.
+    Each chart spans as many frames as the longer of its feature rows and
+    note frames, the shorter padded with zero rows or no-note frames, and
+    is normalized straight into its rows of the dataset's arrays. A chart
+    shorter than 19 frames yields no example: TooShort.
     """
     train_ids, val_ids = split_dataset(charts.keys(), ratio, seed)
     split_of = {**{i: "train" for i in train_ids}, **{i: "val" for i in val_ids}}
     norm = fit_norm(charts[cid][0] for cid in sorted(train_ids))
 
-    entries, features, notes = [], [], []
-    for cid in sorted(charts):
-        feats, frames = _pad_chart(apply_norm(charts[cid][0], norm), charts[cid][1])
-        entries.append(ChartEntry(cid, frames.size - MIN_FRAMES + 1, split_of[cid]))
-        features.append(feats)
-        notes.append(frames)
-    manifest = DatasetManifest(tuple(entries), bands=features[0].shape[1])
-    return Dataset(manifest, np.concatenate(features), np.concatenate(notes), norm)
+    ids = sorted(charts)
+    lengths = [max(len(charts[cid][0]), len(charts[cid][1])) for cid in ids]
+    for n in lengths:
+        if n < MIN_FRAMES:
+            raise TooShort(f"need at least {MIN_FRAMES} frames, got {n}")
+    features = np.zeros((sum(lengths), len(norm.mean)), dtype=np.float32)
+    notes = np.full(sum(lengths), int(NoteClass.NO_NOTE), dtype=np.uint8)
+    row = 0
+    for cid, n in zip(ids, lengths):
+        feats, chart = charts[cid]
+        features[row : row + len(feats)] = apply_norm(feats, norm)
+        notes[row : row + len(chart)] = chart.frames
+        row += n
+    manifest = DatasetManifest(
+        tuple(ChartEntry(cid, n - MIN_FRAMES + 1, split_of[cid]) for cid, n in zip(ids, lengths)),
+        bands=len(norm.mean),
+    )
+    return Dataset(manifest, features, notes, norm)
 
 
 def save_dataset(path: str | Path, ds: Dataset) -> None:

@@ -248,9 +248,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def items(self):
-        return self.arrays.items()
-
     def copy(self) -> "ModelParams":
         return replace(self, arrays=ParamBuffer(self.arch, self.dtype, self.arrays))
 

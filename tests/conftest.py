@@ -95,7 +95,7 @@ def save_checkpoint_with_norm(path, arch: ArchConfig, mean: float, std: float):
 def save_checkpoint_v1(path, params):
     """Write ``params`` and a zero Adam state in the version-1 TKNM layout,
     which stored each of the 42 arrays with its name, axis count and shape."""
-    arrays = list(params.items()) + [(f"{k}.{n}", np.zeros(a.shape)) for k in "mv" for n, a in params.items()]
+    arrays = list(params.arrays.items()) + [(f"{k}.{n}", np.zeros(a.shape)) for k in "mv" for n, a in params.arrays.items()]
     chunks = [
         b"TKNM",
         struct.pack("<I8I", 1, *params.arch.as_tuple()),

@@ -424,6 +424,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "s1" in err and "empty" in err and "Traceback" not in err
 
+    def test_pair_too_short_for_a_pattern_exits_2_naming_the_song(self, tmp_path, capsys):
+        model_dir, human_dir = self.make_dirs(tmp_path)
+        short = write_osu(NoteFrameSequence(np.array([0, 0, 0, 1], np.uint8)), 140.0, "s1.wav")
+        (model_dir / "s1.osu").write_text(short)
+        (human_dir / "s1.osu").write_text(short)
+        assert run(["evaluate", "--model-dir", model_dir, "--human-dir", human_dir]) == 2
+        assert_one_line_error(capsys, "error: s1: need at least 8 frames, got 4")
+
     @pytest.mark.parametrize("draws", [0, -2])
     def test_draws_below_one_exits_2(self, tmp_path, capsys, draws):
         model_dir, human_dir = self.make_dirs(tmp_path)
@@ -473,6 +481,13 @@ class TestStats:
         assert run(["stats", "--charts", charts_dir]) == 2
         err = capsys.readouterr().err
         assert "song_a.osu" in err and "Traceback" not in err
+
+    def test_chart_without_objects_exits_2_naming_the_file(self, tiny_corpus, capsys):
+        charts_dir, _ = tiny_corpus
+        path = charts_dir / "song_a.osu"
+        path.write_text(write_osu(NoteFrameSequence(np.zeros(50, np.uint8)), 140.0, "song_a.wav"))
+        assert run(["stats", "--charts", charts_dir]) == 2
+        assert_one_line_error(capsys, f"error: {path}: cannot take the distribution of a zero-frame chart")
 
     def test_latin1_chart_exits_2(self, tiny_corpus, capsys):
         charts_dir, _ = tiny_corpus

@@ -53,7 +53,7 @@ def nudged_params(arch, seed):
     mix several classes."""
     params = init_params(arch, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng.uniform(-0.3, 0.3, size=arr.shape).astype(arr.dtype)
     return params

@@ -102,7 +102,7 @@ class TestForward:
 
     def test_zero_params_give_uniform_rows(self):
         params = init_params(MINI, seed=0)
-        for _, arr in params.items():
+        for _, arr in params.arrays.items():
             arr[...] = 0.0
         probs, _ = forward(params, np.zeros((1, 4, 4)), np.zeros((1, 3, 7)))
         assert np.allclose(probs, 1.0 / 7.0)
@@ -265,7 +265,7 @@ def gradcheck_params() -> ModelParams:
     activation starts pinned to a ReLU kink."""
     params = init_params(MINI, seed=GRADCHECK_PARAM_SEED, dtype=np.float64)
     rng = np.random.default_rng(GRADCHECK_PARAM_SEED + 1000)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng.uniform(0.05, 0.15, size=arr.shape)
     return params
@@ -295,7 +295,7 @@ def numeric_grads(params, window, ctx, targets, training, drop_seed, h=FD_STEP):
         return loss(probs, targets)
 
     out = {}
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         grad = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
@@ -325,7 +325,7 @@ def test_gradient_check_every_parameter_group(training):
     analytic = backward(params, cache, targets)
     numeric = numeric_grads(params, window, ctx, targets, training, GRADCHECK_DROP_SEED)
 
-    for name, _ in params.items():
+    for name, _ in params.arrays.items():
         ga, gn = analytic[name], numeric[name]
         denom = max(np.linalg.norm(ga) + np.linalg.norm(gn), 1e-12)
         rel = np.linalg.norm(ga - gn) / denom
@@ -370,7 +370,7 @@ def test_batch_matches_sequential_single_calls(dtype, training):
     prob_tol, grad_tol, relative = BATCH_TOLERANCES[dtype]
     params = init_params(DEFAULT_ARCH, seed=23, dtype=dtype)
     rng_data = np.random.default_rng(24)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng_data.uniform(-0.1, 0.1, size=arr.shape).astype(dtype)
     n = 16
@@ -457,7 +457,7 @@ def test_training_step_bit_identical_to_layer_by_layer_reference():
     # np.dot outer products rather than matmuls
     params = init_params(DEFAULT_ARCH, seed=31)
     rng_data = np.random.default_rng(32)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng_data.uniform(-0.1, 0.1, size=arr.shape).astype(arr.dtype)
     for n in (16, 1):
@@ -471,7 +471,7 @@ def test_training_step_bit_identical_to_layer_by_layer_reference():
             params, windows, contexts, targets, np.random.default_rng(33)
         )
         assert np.array_equal(probs, want_probs)
-        for name, _ in params.items():
+        for name, _ in params.arrays.items():
             assert grads[name].dtype == want_grads[name].dtype
             assert np.array_equal(grads[name], want_grads[name]), f"B={n} {name}"
 
@@ -537,7 +537,7 @@ def test_song_trunk_matches_per_window_trunk(arch_name, dtype):
     arch = SONG_TRUNK_ARCHS[arch_name]
     params = init_params(arch, seed=31, dtype=dtype)
     rng = np.random.default_rng(32)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng.uniform(-0.3, 0.3, size=arr.shape).astype(dtype)
     window_counts = [1, 2, 403 - arch.frames + 1] + [2 * TRUNK_CHUNK + d for d in (-1, 0, 1)]
@@ -563,7 +563,7 @@ def reference_adam_step(params, grads, state, lr):
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, p in params.items():
+    for name, p in params.arrays.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
@@ -584,18 +584,18 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_params(MINI, seed=18)
         state = init_adam_state(params)
-        before = {n: a.copy() for n, a in params.items()}
+        before = {n: a.copy() for n, a in params.arrays.items()}
         adam_step(params, ParamBuffer(MINI), state, lr=1e-3)
-        for name, arr in params.items():
+        for name, arr in params.arrays.items():
             assert np.array_equal(arr, before[name])
 
     def test_first_step_magnitude_is_lr(self):
         params = init_params(MINI, seed=19, dtype=np.float64)
         state = init_adam_state(params)
         grads = filled(MINI, np.float64, 0.25)
-        before = {n: a.copy() for n, a in params.items()}
+        before = {n: a.copy() for n, a in params.arrays.items()}
         adam_step(params, grads, state, lr=1e-3)
-        for name, arr in params.items():
+        for name, arr in params.arrays.items():
             step = np.abs(arr - before[name])
             assert np.allclose(step, 1e-3, rtol=1e-3)
 
@@ -607,7 +607,7 @@ class TestAdam:
             grads = filled(MINI, np.float32, 0.1)
             adam_step(params, grads, state, lr=1e-4)
             adam_step(params, grads, state, lr=1e-4)
-            results.append({n: a.copy() for n, a in params.items()})
+            results.append({n: a.copy() for n, a in params.arrays.items()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
 
@@ -822,7 +822,7 @@ def test_model_params_rejects_wrong_shapes():
     with pytest.raises(ShapeMismatch):
         ModelParams(MINI, params.norm, ParamBuffer(DEFAULT_ARCH))
     with pytest.raises(TypeError, match="ParamBuffer"):
-        ModelParams(MINI, params.norm, dict(params.items()))
+        ModelParams(MINI, params.norm, dict(params.arrays.items()))
 
 
 def test_params_are_views_of_one_buffer():
@@ -830,8 +830,8 @@ def test_params_are_views_of_one_buffer():
         params = init_params(MINI, seed=40, dtype=dtype)
         assert params.flat.dtype == dtype
         assert list(params.arrays) == list(PARAM_NAMES)
-        assert sum(a.size for _, a in params.items()) == params.flat.size
-        for _, arr in params.items():
+        assert sum(a.size for _, a in params.arrays.items()) == params.flat.size
+        for _, arr in params.arrays.items():
             assert arr.dtype == dtype and np.shares_memory(arr, params.flat)
         copy = params.copy()
         assert not np.shares_memory(copy.flat, params.flat)

@@ -114,7 +114,7 @@ def lively_params(dtype):
     the loss moves with every segment instead of sitting near ln 7."""
     params = init_params(seed=5, dtype=dtype)
     rng = np.random.default_rng(6)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         if name.endswith("_b"):
             arr += rng.normal(0, 0.3, size=arr.shape).astype(dtype)
     params.arrays["out_w"] *= 4
@@ -231,7 +231,7 @@ class TestRollback:
         ds = tiny_dataset()
         overflow_epochs(monkeypatch, 2)  # phase 2 epoch 2
         result = train(ds, quick_config(tmp_path, phase2_max_epochs=2))
-        for _, arr in result.params.items():
+        for _, arr in result.params.arrays.items():
             assert np.isfinite(arr).all()
 
     def test_phase2_first_epoch_explosion_keeps_phase1(self, tmp_path, monkeypatch):
@@ -280,7 +280,7 @@ def test_batch_gradient_is_average_of_single_gradients(tmp_path):
     state = init_adam_state(params)
     _run_epoch(params, state, ds, idx, batch_size=4, lr=1e-4, rng=np.random.default_rng(42))
     manual = run_manual(4)
-    for name, arr in params.items():
+    for name, arr in params.arrays.items():
         assert np.allclose(arr, manual[name], rtol=1e-5, atol=0)
 
 
