@@ -270,10 +270,11 @@ def fit_norm(frame_blocks: Iterable[np.ndarray]) -> NormStats:
 
 
 def apply_norm(frames: np.ndarray, stats: NormStats) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1:] != stats.mean.shape:
-        raise ShapeMismatch(f"features have {frames.shape[-1]} bands, normalization stats {len(stats.mean)}")
-    return (frames - stats.mean) / stats.std
+    if np.shape(frames)[-1:] != stats.mean.shape:
+        raise ShapeMismatch(f"features have {np.shape(frames)[-1]} bands, normalization stats {len(stats.mean)}")
+    out = np.subtract(frames, stats.mean, dtype=np.float64)
+    out /= stats.std
+    return out
 
 
 #: Frames per block of the log-Mel features. A block's decode and STFT

@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
     ds = dataset.load_dataset(args.dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train.log"
-    with log_path.open("w", encoding="utf-8") as log_file:
+    with log_path.open("w", encoding="utf-8", buffering=1) as log_file:
 
         def log(line: str):
             print(line)
@@ -234,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True, help="checkpoint + log directory")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--phase1-epochs", type=int, default=10)
-    p.add_argument("--phase1-lr", type=float, default=1e-5)
-    p.add_argument("--phase1-batch", type=int, default=16)
-    p.add_argument("--phase2-lr", type=float, default=5e-6)
-    p.add_argument("--phase2-max", type=int, default=8)
+    p.add_argument("--phase1-epochs", type=int, default=trainer.TrainConfig.phase1_epochs)
+    p.add_argument("--phase1-lr", type=float, default=trainer.TrainConfig.phase1_lr)
+    p.add_argument("--phase1-batch", type=int, default=trainer.TrainConfig.phase1_batch)
+    p.add_argument("--phase2-lr", type=float, default=trainer.TrainConfig.phase2_lr)
+    p.add_argument("--phase2-max", type=int, default=trainer.TrainConfig.phase2_max_epochs)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="generate a .osu chart for a song")

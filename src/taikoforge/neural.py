@@ -852,7 +852,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
     declares a larger model than the file holds fails before anything is
     allocated: a shorter file raises :class:`TruncatedFile`, a longer one
     :class:`CorruptFile`. Then the checksum and the normalization stats are
-    checked, and each buffer is copied from a view of the file bytes.
+    checked, and each buffer is copied from a view of the file bytes. A
+    non-finite parameter raises :class:`CorruptFile`; Adam's ``v`` may be
+    +inf, as a gradient above ~1.8e19 squares to +inf in float32.
     """
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -891,4 +893,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
         buf.flat[...] = np.frombuffer(data, dtype="<f4", count=n, offset=params_at + 4 * n * k)
         return buf
 
-    return ModelParams(arch, norm, buffer(0)), AdamState(buffer(1), buffer(2), adam_t)
+    params = buffer(0)
+    for name in PARAM_NAMES:
+        if not np.isfinite(params[name]).all():
+            raise CorruptFile(f"{path}: non-finite values in parameter group {name}")
+    return ModelParams(arch, norm, params), AdamState(buffer(1), buffer(2), adam_t)

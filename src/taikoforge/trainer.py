@@ -5,12 +5,12 @@ batch). Phase 2: batch size 1 at a lower learning rate, one epoch at a
 time. An epoch "explodes" when its training or validation pass raises
 NonFiniteActivation or NonFiniteGradient, when its parameters end
 non-finite, or when its mean training loss exceeds :data:`EXPLOSION_FACTOR`
-times the previous epoch's. Training then stops and the previous epoch's
-checkpoint wins. An epoch that explodes in training is never validated,
-and each epoch's checkpoint is written after its validation, so no
-exploded epoch is saved. Both passes ignore numpy's overflow warnings, as
-these checks catch every non-finite value. Every run is fully
-deterministic under its seed.
+times the previous epoch's. Training then stops and reloads the run's one
+checkpoint, ``final.tknm``. That file is written atomically with the initial
+state and after each epoch's validation, so it always holds the last good
+epoch, whole; an epoch that explodes in training is never validated. Both
+passes ignore numpy's overflow warnings, as these checks catch every
+non-finite value. Every run is fully deterministic under its seed.
 
 Training runs :func:`~taikoforge.neural.forward` on gathered windows, each
 with its own dropout masks. Validation runs the inference path that
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,13 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_write
 from .dataset import Dataset
 from .errors import NonFiniteActivation, NonFiniteGradient
 from .neural import (
     DEFAULT_ARCH,
     TRUNK_CHUNK,
-    AdamState,
     ModelParams,
     adam_step,
     backward,
@@ -96,7 +93,6 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     params: ModelParams
-    state: AdamState
     records: list[EpochRecord]
     final_path: Path
     exploded_at: tuple[int, int] | None = None
@@ -150,12 +146,13 @@ def train(
 ) -> TrainResult:
     """Run the full schedule and return the surviving checkpoint.
 
-    Per-epoch checkpoints are kept in ``config.checkpoint_dir``; the result
-    is copied to ``final.tknm`` byte-for-byte, so a rollback result compares
-    bit-identical to the pre-explosion epoch's file.
+    ``config.checkpoint_dir / "final.tknm"`` is the run's only file. It is
+    written with the initial state and rewritten after each good epoch, so
+    a rolled-back run leaves the same bytes as a run stopped at its last
+    good epoch.
     """
-    ckpt_dir = config.checkpoint_dir
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    final_path = config.checkpoint_dir / "final.tknm"
+    final_path.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
 
     params = init_params(DEFAULT_ARCH, seed=config.seed, norm=dataset.norm)
@@ -165,8 +162,7 @@ def train(
     if len(train_idx) == 0:
         raise ValueError("dataset has no training examples")
 
-    best_path = ckpt_dir / "init.tknm"
-    save_checkpoint(best_path, params, state)
+    save_checkpoint(final_path, params, state)
     prev_loss = math.inf
     records: list[EpochRecord] = []
     exploded_at: tuple[int, int] | None = None
@@ -193,17 +189,13 @@ def train(
             exploded_at = (phase, epoch)
             if log:
                 log(f"phase {phase} epoch {epoch:3d}  exploded ({why}); rolling back")
-            params, state = load_checkpoint(best_path)
+            params, _ = load_checkpoint(final_path)
             break
 
-        best_path = ckpt_dir / f"p{phase}_e{epoch:03d}.tknm"
-        save_checkpoint(best_path, params, state)
+        save_checkpoint(final_path, params, state)
         prev_loss = train_loss
         records.append(EpochRecord(phase, epoch, train_loss, val_loss, time.perf_counter() - started))
         if log:
             log(records[-1].line())
 
-    final_path = ckpt_dir / "final.tknm"
-    with open(best_path, "rb") as src, atomic_write(final_path) as dst:
-        shutil.copyfileobj(src, dst)
-    return TrainResult(params, state, records, final_path, exploded_at)
+    return TrainResult(params, records, final_path, exploded_at)

@@ -195,19 +195,23 @@ def test_criterion_06_rollback_bit_compare(tmp_path, monkeypatch):
         fit_norm([rng.normal(size=(10, NUM_BANDS))]),
     )
     k = 2
+
+    def run(name, phase2_max_epochs):
+        config = TrainConfig(
+            checkpoint_dir=tmp_path / name,
+            phase1_epochs=1,
+            phase1_lr=1e-4,
+            phase1_batch=4,
+            phase2_lr=5e-5,
+            phase2_max_epochs=phase2_max_epochs,
+            seed=9,
+        )
+        return train(ds, config)
+
+    previous = run("stopped", k - 1).final_path.read_bytes()
     overflow_epochs(monkeypatch, k)  # the schedule's third epoch: phase 2 epoch k
-    config = TrainConfig(
-        checkpoint_dir=tmp_path,
-        phase1_epochs=1,
-        phase1_lr=1e-4,
-        phase1_batch=4,
-        phase2_lr=5e-5,
-        phase2_max_epochs=3,
-        seed=9,
-    )
-    result = train(ds, config)
+    result = run("exploded", 3)
     assert result.exploded_at == (2, k)
-    previous = (tmp_path / f"p2_e{k - 1:03d}.tknm").read_bytes()
     assert result.final_path.read_bytes() == previous
     report(6, "rollback", f"overflow at phase-2 epoch {k} returned epoch {k - 1}'s bytes")
 

@@ -492,3 +492,19 @@ class TestNorm:
         with pytest.raises(ShapeMismatch):
             apply_norm(np.zeros((3, 80)), NormStats(np.zeros(4), np.ones(4)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_apply_norm_allocates_only_its_output(self, dtype):
+        # the subtraction and the division share one float64 buffer, and a
+        # float32 input is widened inside the subtraction, not copied
+        rng = np.random.default_rng(9)
+        frames = rng.normal(size=(20_000, NUM_BANDS)).astype(dtype)
+        stats = NormStats(rng.normal(size=NUM_BANDS), rng.random(NUM_BANDS) + 0.5)
+        tracemalloc.start()
+        try:
+            out = apply_norm(frames, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, (frames.astype(np.float64) - stats.mean) / stats.std)
+        assert peak < 1.5 * out.nbytes
+

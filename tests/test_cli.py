@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from taikoforge import cli, generator, metrics
+from taikoforge import cli, generator, metrics, trainer
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import load_dataset
@@ -155,6 +155,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "bad manifest" in err and "Traceback" not in err
 
+    def test_log_holds_each_epoch_before_the_next_save(self, built_dataset, tmp_path, monkeypatch):
+        # a killed run keeps the lines of the epochs it finished
+        out_dir = tmp_path / "run"
+        logs = []
+        real = trainer.save_checkpoint
+
+        def spy(*args):
+            logs.append((out_dir / "train.log").read_text())
+            real(*args)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", spy)
+        assert run([
+            "train", "--dataset", built_dataset, "--out-dir", out_dir,
+            "--phase1-epochs", 2, "--phase2-max", 0, "--seed", 3,
+        ]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["final.tknm", "train.log"]
+        assert len(logs) == 3  # the initial state, then epochs 1 and 2
+        assert logs[0] == logs[1] == ""
+        assert logs[2].startswith("phase 1 epoch   1  ") and logs[2].count("\n") == 1
+
+    def test_defaults_are_the_train_configs(self):
+        args = cli.build_parser().parse_args(["train", "--dataset", "d.tknd", "--out-dir", "run"])
+        config = trainer.TrainConfig(checkpoint_dir="run")
+        assert (args.phase1_epochs, args.phase1_lr, args.phase1_batch, args.phase2_lr, args.phase2_max) == (
+            config.phase1_epochs, config.phase1_lr, config.phase1_batch, config.phase2_lr, config.phase2_max_epochs
+        )
+
     def test_rerun_bit_identical(self, built_dataset, tmp_path):
         finals = []
         for name in ("r1", "r2"):
@@ -203,8 +230,11 @@ class TestTrainExplosion:
         assert code == 0, err
         phase, epoch = exploded
         assert f"stopped by weight explosion at phase {phase} epoch {epoch}" in out
-        assert (out_dir / "final.tknm").read_bytes() == (out_dir / "init.tknm").read_bytes()
-        assert not (out_dir / f"p{phase}_e{epoch:03d}.tknm").exists()
+        initial = tmp_path / "initial.tknm"
+        norm = load_dataset(three_chart_dataset).norm
+        save_checkpoint(initial, init_params(DEFAULT_ARCH, seed=cli.DEFAULT_SEED, norm=norm))
+        assert (out_dir / "final.tknm").read_bytes() == initial.read_bytes()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["final.tknm", "train.log"]
         assert caught == []
         assert "Warning" not in err
 
@@ -328,6 +358,17 @@ class TestGenerate:
         code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
         assert code == 2
         assert_one_line_error(capsys, "normalization")
+
+    def test_checkpoint_with_non_finite_parameter_exits_2(self, tmp_path, capsys):
+        params = init_params(DEFAULT_ARCH, seed=0)
+        params["lstm1_wh"][0, 0] = np.nan
+        checkpoint = tmp_path / "m.tknm"
+        save_checkpoint(checkpoint, params)
+        wav = tmp_path / "d.wav"
+        write_wav_pcm16(wav, np.zeros(44100))
+        code = run(["generate", "--checkpoint", checkpoint, "--audio", wav, "--out", tmp_path / "o.osu"])
+        assert code == 2
+        assert_one_line_error(capsys, "m.tknm: non-finite values in parameter group lstm1_wh")
 
     def test_checkpoint_with_other_band_count_exits_2(self, tmp_path, capsys):
         # a valid checkpoint for 4-band features; the front end makes 80 bands

@@ -804,6 +804,26 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["conv1_w", "lstm1_wh", "out_b"])
+    def test_non_finite_parameter_names_its_group(self, tmp_path, name, value):
+        # the CRC is valid, so only the value is wrong
+        params, state = self._params()
+        params[name].flat[-1] = value
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        with pytest.raises(CorruptFile, match=f"model.tknm: non-finite values in parameter group {name}$"):
+            load_checkpoint(path)
+
+    def test_infinite_second_moment_loads(self, tmp_path):
+        # a finite gradient above ~1.8e19 squares to +inf in v while the
+        # parameters stay finite; such an epoch is saved and must reload
+        params, state = self._params()
+        state.v["out_b"][0] = np.inf
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, params, state)
+        assert load_checkpoint(path)[1].v["out_b"][0] == np.inf
+
     @pytest.mark.parametrize("name", ["frames", "bands", "conv1_filters", "hidden", "horizon"])
     def test_zero_architecture_constant(self, tmp_path, name):
         # the file is as long as the zero constant implies, and its CRC holds

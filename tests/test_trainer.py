@@ -63,10 +63,11 @@ class TestConfig:
 class TestTrain:
     def test_smoke_writes_final_checkpoint(self, tmp_path):
         ds = tiny_dataset()
-        result = train(ds, quick_config(tmp_path))
-        assert result.final_path.exists()
+        config = quick_config(tmp_path, phase2_max_epochs=2)
+        result = train(ds, config)
+        assert [p.name for p in config.checkpoint_dir.iterdir()] == ["final.tknm"]
         assert result.exploded_at is None
-        assert len(result.records) == 1
+        assert len(result.records) == 3
         assert np.isfinite(result.records[0].train_loss)
 
     def test_untrained_loss_near_ln7(self, tmp_path):
@@ -220,12 +221,13 @@ def test_phase2_epoch_cap_costs_no_memory(tmp_path, monkeypatch):
 class TestRollback:
     def test_injected_nan_rolls_back_to_previous_epoch(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
+        clean = train(ds, quick_config(tmp_path / "clean", phase2_max_epochs=1))
         overflow_epochs(monkeypatch, 2)  # phase 2 epoch 2
         config = quick_config(tmp_path, phase2_max_epochs=3)
         result = train(ds, config)
         assert result.exploded_at == (2, 2)
-        expected = (config.checkpoint_dir / "p2_e001.tknm").read_bytes()
-        assert result.final_path.read_bytes() == expected
+        assert result.final_path.read_bytes() == clean.final_path.read_bytes()
+        assert [p.name for p in config.checkpoint_dir.iterdir()] == ["final.tknm"]
 
     def test_returned_params_always_finite(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
@@ -236,12 +238,11 @@ class TestRollback:
 
     def test_phase2_first_epoch_explosion_keeps_phase1(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
+        clean = train(ds, quick_config(tmp_path / "clean", phase2_max_epochs=0))
         overflow_epochs(monkeypatch, 1)  # phase 2 epoch 1
-        config = quick_config(tmp_path, phase2_max_epochs=2)
-        result = train(ds, config)
+        result = train(ds, quick_config(tmp_path, phase2_max_epochs=2))
         assert result.exploded_at == (2, 1)
-        expected = (config.checkpoint_dir / "p1_e001.tknm").read_bytes()
-        assert result.final_path.read_bytes() == expected
+        assert result.final_path.read_bytes() == clean.final_path.read_bytes()
 
     def test_loss_spike_triggers_rollback(self, tmp_path, monkeypatch):
         ds = tiny_dataset()
