@@ -260,12 +260,13 @@ def fit_norm(frame_blocks: Iterable[np.ndarray]) -> NormStats:
     come out with exactly zero variance and hit the std floor cleanly.
     Population std, floored at 1e-8.
     """
-    blocks = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in frame_blocks]
+    blocks = [np.atleast_2d(b) for b in frame_blocks]
     count = sum(b.shape[0] for b in blocks)
     if count == 0:
         raise EmptyCorpus("no frames to fit normalization on")
-    mean = sum(b.sum(axis=0) for b in blocks) / count
-    var = sum(((b - mean) ** 2).sum(axis=0) for b in blocks) / count
+    # each pass holds one block as float64 at a time
+    mean = sum(np.asarray(b, dtype=np.float64).sum(axis=0) for b in blocks) / count
+    var = sum((np.subtract(b, mean, dtype=np.float64) ** 2).sum(axis=0) for b in blocks) / count
     return NormStats(mean, np.maximum(np.sqrt(var), STD_FLOOR))
 
 

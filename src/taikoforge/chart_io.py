@@ -18,8 +18,11 @@ for small Don / big Don / small Kat / big Kat.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,15 +88,17 @@ _WRITE_HITSOUND = {
 }
 
 
-def _beat_length_at(timing: list[tuple[float, float]], t_ms: float) -> float:
-    """Beat length of the last uninherited timing point at or before t_ms."""
-    active = timing[0][1]
-    for offset, beat_len in timing:
-        if offset <= t_ms:
-            active = beat_len
-        else:
-            break
-    return active
+def _beat_length_lookup(timing: list[tuple[float, float]]) -> Callable[[float], float]:
+    """The beat length at a time: that of the last uninherited timing point
+    at or before it, reading the points in file order up to the first one
+    after it, or the first point's if none is at or before it. Each lookup
+    is a binary search over the running maximum of the offsets."""
+    reach = list(itertools.accumulate((offset for offset, _ in timing), max))
+
+    def beat_length_at(t_ms: float) -> float:
+        return timing[max(bisect.bisect_right(reach, t_ms) - 1, 0)][1]
+
+    return beat_length_at
 
 
 def _checked_time(t_ms: float, line: str) -> float:
@@ -103,7 +108,7 @@ def _checked_time(t_ms: float, line: str) -> float:
     return t_ms
 
 
-def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> tuple[float, float, NoteClass]:
+def _parse_hit_object(line: str, beat_length_at: Callable[[float], float]) -> tuple[float, float, NoteClass]:
     """(start_ms, end_ms, class) of one object line. A circle ends where it
     starts; a span must end after it starts."""
     parts = line.split(",")
@@ -126,7 +131,7 @@ def _parse_hit_object(line: str, timing: list[tuple[float, float]]) -> tuple[flo
     elif obj_type & _TYPE_SLIDER:
         try:  # curve, slides, length; a slide count past the float range overflows
             length, slides = float(parts[7]), int(parts[6])
-            end = t + length / (SLIDER_VELOCITY * PIXELS_PER_BEAT) * _beat_length_at(timing, t) * slides
+            end = t + length / (SLIDER_VELOCITY * PIXELS_PER_BEAT) * beat_length_at(t) * slides
         except (IndexError, ValueError, OverflowError) as exc:
             raise MalformedFile(f"slider needs a curve, a slide count and a length: {line!r}") from exc
         cls = NoteClass.DRUMROLL
@@ -172,6 +177,8 @@ def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSe
             beat_len = float(parts[1])
         except ValueError as exc:
             raise MalformedFile(f"unparsable timing point: {line!r}") from exc
+        if math.isnan(offset):  # unordered, so no binary search over the offsets can place it
+            raise MalformedFile(f"timing point offset is not a number: {line!r}")
         if len(parts) >= 7:
             uninherited = parts[6].strip() == "1"
         else:
@@ -181,7 +188,8 @@ def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSe
     if not timing:
         raise MalformedFile("no uninherited timing point")
 
-    objects = [_parse_hit_object(line, timing) for line in sections["HitObjects"]]
+    beat_length_at = _beat_length_lookup(timing)
+    objects = [_parse_hit_object(line, beat_length_at) for line in sections["HitObjects"]]
     n_frames = ms_to_frame(max(end for _, end, _ in objects)) + 1 if objects else 0
     if song_length_ms is not None:
         n_frames = max(n_frames, song_length_ms // FRAME_MS)

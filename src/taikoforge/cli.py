@@ -66,18 +66,15 @@ def cmd_build_dataset(args) -> int:
         raise InputError("missing audio for chart(s): " + ", ".join(missing))
 
     def prepare(chart_path: Path):
-        wav = audio.read_header(audio_dir / f"{chart_path.stem}.wav")
-        length_ms = wav.samples * 1000 // audio.SAMPLE_RATE
-        notes, _ = _parse_chart(chart_path, chart_io.parse_osu, song_length_ms=length_ms)
-        return audio.song_features(wav), notes
+        # assemble pads the chart to its song's feature rows
+        notes, _ = _parse_chart(chart_path, chart_io.parse_osu)
+        return audio.song_features(audio_dir / f"{chart_path.stem}.wav"), notes
 
     charts = {p.stem: prepare(p) for p in chart_files}
     ds = dataset.assemble(charts, ratio=args.ratio, seed=args.seed)
     dataset.save_dataset(args.out, ds)
 
-    class_counts = np.zeros(NUM_CLASSES, dtype=np.int64)
-    for _, notes in charts.values():
-        class_counts += np.bincount(notes.frames, minlength=NUM_CLASSES)
+    class_counts = np.bincount(ds.notes, minlength=NUM_CLASSES)
     n_train, n_val = ds.manifest.counts()
 
     for entry in ds.manifest.charts:
@@ -108,6 +105,8 @@ def cmd_train(args) -> int:
         raise InputError(str(exc))
 
     ds = dataset.load_dataset(args.dataset)
+    with _named(args.dataset):
+        trainer.check_dataset(ds)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train.log"
     with log_path.open("w", encoding="utf-8", buffering=1) as log_file:

@@ -34,7 +34,8 @@ class TooShort(TaikoForgeError):
 
 
 class EmptyCorpus(TaikoForgeError):
-    """Normalization statistics requested over zero frames."""
+    """Normalization statistics requested over zero frames, or training
+    over zero examples."""
 
 
 class TooFewCharts(TaikoForgeError):

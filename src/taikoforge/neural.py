@@ -236,6 +236,8 @@ class ModelParams:
             raise TypeError(f"parameters must be a ParamBuffer, got {type(self.arrays).__name__}")
         if self.arrays.arch != self.arch:
             raise ShapeMismatch("parameter buffer was laid out for another architecture")
+        if len(self.norm.mean) != self.arch.bands:
+            raise ShapeMismatch(f"normalization stats hold {len(self.norm.mean)} bands, the architecture {self.arch.bands}")
 
     @property
     def flat(self) -> np.ndarray:

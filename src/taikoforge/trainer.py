@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Dataset
-from .errors import NonFiniteActivation, NonFiniteGradient
+from .errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, ShapeMismatch
 from .neural import (
     DEFAULT_ARCH,
     TRUNK_CHUNK,
@@ -139,6 +139,16 @@ def evaluate_loss(params: ModelParams, dataset: Dataset, indices: np.ndarray) ->
     return total / len(indices)
 
 
+def check_dataset(dataset: Dataset) -> None:
+    """Refuse a dataset that :func:`train` cannot use: one whose band count
+    is not the model's, or one with no training example. A caller can run
+    it before writing anything."""
+    if dataset.manifest.bands != DEFAULT_ARCH.bands:
+        raise ShapeMismatch(f"dataset has {dataset.manifest.bands} bands, the model takes {DEFAULT_ARCH.bands}")
+    if not len(dataset.indices("train")):
+        raise EmptyCorpus("dataset has no training examples")
+
+
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -151,6 +161,7 @@ def train(
     a rolled-back run leaves the same bytes as a run stopped at its last
     good epoch.
     """
+    check_dataset(dataset)
     final_path = config.checkpoint_dir / "final.tknm"
     final_path.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
@@ -159,9 +170,6 @@ def train(
     state = init_adam_state(params)
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
-    if len(train_idx) == 0:
-        raise ValueError("dataset has no training examples")
-
     save_checkpoint(final_path, params, state)
     prev_loss = math.inf
     records: list[EpochRecord] = []

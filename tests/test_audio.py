@@ -81,10 +81,14 @@ def oracle_log_mel(samples: np.ndarray, frame: int) -> np.ndarray:
     return np.log(oracle_filterbank() @ oracle_window_spectrum(seg) + LOG_OFFSET)
 
 
-def craft_wav(fmt: int, bits: int, rate: int, channels: int, payload: bytes) -> bytes:
-    fmt_chunk = struct.pack(
-        "<HHIIHH", fmt, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits
-    )
+def craft_wav(
+    fmt: int, bits: int, rate: int, channels: int, payload: bytes, block_align: int | None = None, fmt_size: int = 16
+) -> bytes:
+    """A WAV file of one fmt chunk, cut to ``fmt_size`` bytes, and one data
+    chunk holding ``payload``."""
+    if block_align is None:
+        block_align = channels * bits // 8
+    fmt_chunk = struct.pack("<HHIIHH", fmt, channels, rate, rate * block_align, block_align, bits)[:fmt_size]
     body = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
@@ -177,8 +181,13 @@ class TestDecode:
             craft_wav(2, 16, SAMPLE_RATE, 1, b"\x00" * 4),
             craft_wav(1, 16, SAMPLE_RATE, 3, b"\x00" * 12),
             craft_wav(1, 16, 0, 1, b"\x00" * 4),
+            craft_wav(1, 16, SAMPLE_RATE, 1, b"\x00" * 4, fmt_size=14),
+            craft_wav(1, 16, SAMPLE_RATE, 1, b"\x00" * 3, block_align=0),
         ],
-        ids=["not-riff", "no-chunks", "8-bit", "64-bit-float", "format-tag-2", "3-channels", "zero-rate"],
+        ids=[
+            "not-riff", "no-chunks", "8-bit", "64-bit-float", "format-tag-2", "3-channels", "zero-rate",
+            "fmt-under-16-bytes", "part-of-a-sample",
+        ],
     )
     def test_every_error_names_the_file_once(self, tmp_path, data):
         path = tmp_path / "named.wav"
@@ -316,6 +325,16 @@ class TestHeader:
         with Traced() as traced, pytest.raises(CorruptFile, match="truncated"):
             decode_audio(path)
         assert traced.peak < 2**20
+
+    def test_file_truncated_after_its_header_was_read(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(craft_wav(1, 16, SAMPLE_RATE, 1, b"\x00\x00" * 1000))
+        header = read_header(path)
+        with open(path, "r+b") as f:
+            f.truncate(header.data_start + 1000)
+        assert len(decode_audio(header, 0, 500)) == 500
+        with pytest.raises(CorruptFile, match="truncated"):
+            decode_audio(header)
 
     def test_header_gives_the_decoded_length(self, tmp_path):
         path = tmp_path / "s.wav"
@@ -477,6 +496,21 @@ class TestNorm:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             fit_norm([])
+
+    def test_fit_holds_one_block_as_float64_at_a_time(self):
+        rng = np.random.default_rng(10)
+        blocks = [rng.normal(size=(n, NUM_BANDS)).astype(np.float32) for n in (3000, 4000, 2000, 3500)]
+        tracemalloc.start()
+        try:
+            stats = fit_norm(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4000 * NUM_BANDS * 8
+        whole = np.vstack(blocks).astype(np.float64)
+        mean = whole.mean(axis=0)
+        assert np.allclose(stats.mean, mean, rtol=0, atol=1e-12)
+        assert np.allclose(stats.std, np.sqrt(((whole - mean) ** 2).mean(axis=0)), rtol=1e-12, atol=0)
 
     def test_std_floor_positive(self):
         stats = fit_norm([np.zeros((5, 4))])

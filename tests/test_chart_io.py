@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taikoforge.chart import FRAME_MS, NoteClass, NoteFrameSequence
-from taikoforge.chart_io import parse_osu, parse_sm, valid_bpm, write_osu
+from taikoforge.chart_io import _beat_length_lookup, parse_osu, parse_sm, valid_bpm, write_osu
 from taikoforge.errors import (
     EmptyChart,
     MalformedFile,
@@ -170,11 +171,62 @@ class TestParseOsu:
             "256,192,100,12,0,100,0:0:0:0:",
             "256,192,100,12,0,50,0:0:0:0:",
             pytest.param("256,192,100,2,0,L|320:192,1" + "0" * 400 + ",140", id="slides-past-float-range"),
+            pytest.param("256,192,100,12,0", id="spinner-without-end"),
         ],
     )
     def test_bad_times_rejected(self, line):
         with pytest.raises(MalformedFile):
             parse_osu(osu_text([line]))
+
+    def test_unknown_object_type_rejected(self):
+        # type 4 is the new-combo bit alone: no circle, slider or spinner
+        with pytest.raises(MalformedFile, match="unknown object type 4"):
+            parse_osu(osu_text(["256,192,100,4,0,0:0:0:0:"]))
+
+    @pytest.mark.parametrize(
+        "timing",
+        [
+            pytest.param("0", id="one-field"),
+            pytest.param("zero,500,4,1,0,100,1,0", id="unparsable-offset"),
+            pytest.param("0,fast,4,1,0,100,1,0", id="unparsable-beat-length"),
+            pytest.param("nan,500,4,1,0,100,1,0", id="nan-offset"),
+            pytest.param("0,500,4,1,0,100,0,0", id="only-inherited"),
+            pytest.param("0,-50", id="only-inherited-old-format"),
+        ],
+    )
+    def test_bad_timing_points_rejected(self, timing):
+        with pytest.raises(MalformedFile, match="timing point"):
+            parse_osu(osu_text(["256,192,230,1,0,0:0:0:0:"], timing=timing))
+
+    def test_old_format_timing_points_mark_inherited_by_sign(self):
+        # fewer than 7 fields: a negative beat length is an inherited point
+        text = osu_text(["256,192,1000,2,0,B|100:100,1,140"], timing="0,500\n500,-50")
+        notes, meta = parse_osu(text)
+        assert meta.timing == ((0.0, 500.0),)
+        assert notes[43] == NoteClass.DRUMROLL and notes[65] == NoteClass.DRUMROLL and len(notes) == 66
+
+    def test_slider_between_timing_points_takes_the_earlier_beat_length(self):
+        # 140 px is one beat: 500 ms before the point at 1000 ms, 250 ms after it
+        text = osu_text(
+            ["256,192,230,2,0,L|320:192,1,140", "256,192,1150,2,0,L|320:192,1,140"],
+            timing="0,500,4,1,0,100,1,0\n1000,250,4,1,0,100,1,0",
+        )
+        notes, _ = parse_osu(text)
+        rolls = np.flatnonzero(notes.frames == NoteClass.DRUMROLL).tolist()
+        assert rolls == list(range(10, 32)) + list(range(50, 61))  # 230..730 ms, 1150..1400 ms
+
+    def test_many_timing_points_and_sliders_parse_fast(self):
+        # each slider's beat length is a binary search, not a walk from the first point
+        n = 20_000
+        timing = "\n".join(f"{80 * i},{500 - i % 2 * 100},4,1,0,100,1,0" for i in range(n))
+        sliders = [f"256,192,{80 * i + 40},2,0,L|320:192,1,5" for i in range(n)]
+        started = time.perf_counter()
+        notes, meta = parse_osu(osu_text(sliders, timing=timing))
+        elapsed = time.perf_counter() - started
+        assert len(meta.timing) == n
+        rolls = (notes.frames == NoteClass.DRUMROLL).astype(np.int8)
+        assert np.count_nonzero(np.diff(rolls) == 1) == n
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
     @pytest.mark.parametrize("line", ["256,192,1e12,1,0,0:0:0:0:", "256,192,100,12,0,1e12"])
     def test_time_past_longest_song_rejected(self, line):
@@ -277,6 +329,32 @@ def test_round_trip_over_every_accepted_bpm_property(bpm, seed):
     assert parsed == chart
 
 
+def beat_length_by_walk(timing, t_ms):
+    """The reference lookup: walk the points in file order, stopping at
+    the first one after t_ms."""
+    active = timing[0][1]
+    for offset, beat_len in timing:
+        if offset <= t_ms:
+            active = beat_len
+        else:
+            break
+    return active
+
+
+#: Offsets and times that often coincide, or any float but NaN.
+TIMES = st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIMES, min_size=1, max_size=12), st.lists(TIMES, min_size=1, max_size=12))
+def test_beat_length_lookup_matches_the_walk_property(offsets, times):
+    # in any order of points; beat length i marks point i
+    timing = [(offset, float(i)) for i, offset in enumerate(offsets)]
+    beat_length_at = _beat_length_lookup(timing)
+    for t in times:
+        assert beat_length_at(t) == beat_length_by_walk(timing, t)
+
+
 def test_round_trip_without_length_when_last_frame_noted():
     rng = np.random.default_rng(5)
     frames = random_note_frames(rng, 120).frames.copy()
@@ -338,7 +416,7 @@ class TestParseSm:
         with pytest.raises(MultiBpmUnsupported):
             parse_sm(text)
 
-    @pytest.mark.parametrize("bpm", ["0.000", "-120.000", "nan", "inf", "1e-310"])
+    @pytest.mark.parametrize("bpm", ["0.000", "-120.000", "nan", "inf", "1e-310", "fast", ""])
     def test_bad_bpm_rejected(self, bpm):
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("0.000=120.000", f"0.000={bpm}"))
@@ -348,7 +426,7 @@ class TestParseSm:
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("0.000=120.000", "0.000=1e-6"))
 
-    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf", "soon"])
     def test_non_finite_offset_rejected(self, offset):
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("#OFFSET:0.000;", f"#OFFSET:{offset};"))
@@ -358,6 +436,10 @@ class TestParseSm:
             parse_sm(SM_BODY.replace("1000", "10009"))
         with pytest.raises(MalformedFile):
             parse_sm(SM_BODY.replace("1000", "1X00"))
+
+    def test_notes_header_too_short_rejected(self):
+        with pytest.raises(MalformedFile, match="5 header fields"):
+            parse_sm("#BPMS:0.000=120.000;\n#NOTES:dance-single:a:Hard:1000;")
 
     def test_missing_notes_tag(self):
         with pytest.raises(MalformedFile):

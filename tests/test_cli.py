@@ -1,3 +1,4 @@
+import re
 import warnings
 import wave
 from types import SimpleNamespace
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from taikoforge import cli, generator, metrics, trainer
+from taikoforge.audio import NormStats
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
-from taikoforge.dataset import load_dataset
+from taikoforge.dataset import ChartEntry, Dataset, DatasetManifest, load_dataset, save_dataset
 from taikoforge.neural import DEFAULT_ARCH, ArchConfig, init_params, save_checkpoint
 
 from conftest import (
@@ -126,6 +128,45 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert "missing fmt or data chunk" in err and err.count("song_b.wav") == 1, err
 
+    @pytest.mark.parametrize("ratio", [0, -0.5, 1.5, "nan"])
+    def test_ratio_outside_unit_interval_exits_2(self, tiny_corpus, tmp_path, capsys, ratio):
+        charts_dir, audio_dir = tiny_corpus
+        out = tmp_path / "x.tknd"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out, "--ratio", ratio]) == 2
+        assert_one_line_error(capsys, "--ratio must be in (0, 1]")
+        assert not out.exists()
+
+    def test_charts_span_their_song_or_last_object_and_histogram_counts_stored_frames(self, tmp_path, capsys):
+        charts_dir, audio_dir = tmp_path / "charts", tmp_path / "audio"
+        charts_dir.mkdir()
+        audio_dir.mkdir()
+        # "long" has objects 31 frames past its 60-frame song; "silent" has no object
+        long_chart = periodic_chart(91, period=5, first_note=0)
+        (charts_dir / "long.osu").write_text(write_osu(long_chart, 130.0, "long.wav"))
+        write_wav_pcm16(audio_dir / "long.wav", np.zeros(60 * FRAME_MS * 44100 // 1000))
+        empty = write_osu(periodic_chart(40), 130.0, "silent.wav").split("[HitObjects]")[0] + "[HitObjects]\n"
+        (charts_dir / "silent.osu").write_text(empty)
+        write_wav_pcm16(audio_dir / "silent.wav", np.zeros(50 * FRAME_MS * 44100 // 1000))
+        out = tmp_path / "d.tknd"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out]) == 0
+        ds = load_dataset(out)
+        assert [(c.chart_id, c.example_count) for c in ds.manifest.charts] == [("long", 91 - 18), ("silent", 50 - 18)]
+        counts = np.bincount(ds.notes, minlength=7)
+        assert counts[0] == 91 + 50 - np.count_nonzero(long_chart.frames)
+        histogram = capsys.readouterr().out.splitlines()[2]
+        assert histogram.startswith("class histogram: NO_NOTE=")
+        assert [int(n) for n in re.findall(r"=(\d+) ", histogram)] == counts.tolist()
+
+
+def save_dataset_without_a_use(path, bands, first_split):
+    """A valid TKND file that build-dataset never writes: two charts of
+    ``bands`` bands, the first in ``first_split`` and the second in the
+    validation split."""
+    manifest = DatasetManifest((ChartEntry("a", 2, first_split), ChartEntry("b", 2, "val")), bands=bands)
+    frames = manifest.frame_count()
+    norm = NormStats(np.zeros(bands), np.ones(bands))
+    save_dataset(path, Dataset(manifest, np.zeros((frames, bands)), np.zeros(frames), norm))
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained_checkpoint):
@@ -139,6 +180,34 @@ class TestTrain:
             assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir, "--phase1-lr", lr]) == 2
             assert_one_line_error(capsys, "learning rates must be finite and positive")
             assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--phase1-batch", 0], "batch size must be at least 1"),
+            (["--phase1-epochs", -1], "epoch counts must be non-negative"),
+            (["--phase2-max", -1], "epoch counts must be non-negative"),
+        ],
+    )
+    def test_invalid_schedule_exits_2_without_training(self, built_dataset, tmp_path, capsys, flags, needle):
+        out_dir = tmp_path / "bad"
+        assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir, *flags]) == 2
+        assert_one_line_error(capsys, needle)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "bands, first_split, needle",
+        [(80, "val", "no training examples"), (4, "train", "dataset has 4 bands, the model takes 80")],
+        ids=["every-chart-in-validation", "4-bands"],
+    )
+    def test_dataset_training_cannot_use_exits_2_before_writing(self, tmp_path, capsys, bands, first_split, needle):
+        dataset = tmp_path / "odd.tknd"
+        save_dataset_without_a_use(dataset, bands, first_split)
+        out_dir = tmp_path / "run"
+        assert run(["train", "--dataset", dataset, "--out-dir", out_dir]) == 2
+        err = assert_one_line_error(capsys, needle)
+        assert str(dataset) in err
+        assert not out_dir.exists()
 
     def test_negative_seed_exits_2(self, built_dataset, tmp_path, capsys):
         out_dir = tmp_path / "bad"
@@ -639,6 +708,15 @@ class TestFileErrors:
 
 
 class TestParser:
+    def test_internal_error_prints_a_traceback_and_exits_3(self, tiny_corpus, capsys, monkeypatch):
+        def broken(rows):
+            raise RuntimeError("a bug, not an input error")
+
+        monkeypatch.setattr(metrics, "distribution_table", broken)
+        assert run(["stats", "--charts", tiny_corpus[0]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: a bug, not an input error" in err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             run(["--help"])

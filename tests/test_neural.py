@@ -845,6 +845,15 @@ def test_model_params_rejects_wrong_shapes():
         ModelParams(MINI, params.norm, dict(params.arrays.items()))
 
 
+def test_model_params_rejects_normalization_of_other_band_count():
+    # such params would save a checkpoint that load_checkpoint refuses
+    four_bands = NormStats(np.zeros(4), np.ones(4))
+    with pytest.raises(ShapeMismatch, match="4 bands"):
+        ModelParams(DEFAULT_ARCH, four_bands, ParamBuffer(DEFAULT_ARCH))
+    with pytest.raises(ShapeMismatch, match="4 bands"):
+        init_params(DEFAULT_ARCH, seed=0, norm=four_bands)
+
+
 def test_params_are_views_of_one_buffer():
     for dtype in (np.float32, np.float64):
         params = init_params(MINI, seed=40, dtype=dtype)

@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from taikoforge.audio import NUM_BANDS, NormStats
 from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest
+from taikoforge.errors import EmptyCorpus
 from taikoforge import trainer
 from taikoforge.neural import TRUNK_CHUNK, ParamBuffer, adam_step, backward, forward, init_adam_state, init_params, loss
 from taikoforge.trainer import TrainConfig, evaluate_loss, train
@@ -90,6 +92,15 @@ class TestTrain:
             (r.phase, r.epoch, r.train_loss, r.val_loss) for r in r2.records
         ]
         assert r1.final_path.read_bytes() == r2.final_path.read_bytes()
+
+    def test_dataset_without_training_examples_refused_before_any_file(self, tmp_path):
+        ds = tiny_dataset()
+        manifest = DatasetManifest(tuple(replace(c, split="val") for c in ds.manifest.charts))
+        all_val = Dataset(manifest, ds.features, ds.notes, ds.norm)
+        config = quick_config(tmp_path)
+        with pytest.raises(EmptyCorpus, match="no training examples"):
+            train(all_val, config)
+        assert not config.checkpoint_dir.exists()
 
     def test_epoch_log_lines(self, tmp_path):
         ds = tiny_dataset()
