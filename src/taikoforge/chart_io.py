@@ -194,17 +194,20 @@ def parse_osu(text: str, song_length_ms: int | None = None) -> tuple[NoteFrameSe
     if song_length_ms is not None:
         n_frames = max(n_frames, song_length_ms // FRAME_MS)
 
-    # every class written is nonzero, so an occupied frame is a nonzero one
     frames = np.zeros(n_frames, dtype=np.uint8)
     previous_ms = 0.0
+    last = -1  # the last frame of the last object placed
     for start_ms, end_ms, cls in objects:
         if start_ms < previous_ms:
             raise MalformedFile(f"hit objects are not sorted by time: {start_ms}ms after {previous_ms}ms")
         previous_ms = start_ms
         a, b = ms_to_frame(start_ms), ms_to_frame(end_ms)
-        if frames[a : b + 1].any():
+        # starts are sorted, so an earlier object overlaps this one exactly
+        # when the last one placed ends at or after frame a
+        if a <= last:
             raise OverlapError(f"object at {start_ms}ms overlaps frames {a}..{b}")
         frames[a : b + 1] = cls
+        last = b
 
     return NoteFrameSequence(frames), OsuChart(audio_filename, tuple(timing))
 

@@ -45,11 +45,11 @@ def _named(name):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _parse_chart(path: Path, parse, **kwargs):
+def _parse_chart(path: Path, parse):
     """Parse a chart file, which must be UTF-8 text; its errors name the file."""
     with _named(path):
         try:
-            return parse(path.read_text(encoding="utf-8"), **kwargs)
+            return parse(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise InputError(f"not UTF-8 text (byte {exc.start})") from exc
 
@@ -103,6 +103,10 @@ def cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc))
+    # a rerun would write over the trained model before its first epoch
+    for name in ("final.tknm", "train.log"):
+        if (out_dir / name).exists():
+            raise InputError(f"{out_dir / name} already exists; train into another --out-dir")
 
     ds = dataset.load_dataset(args.dataset)
     with _named(args.dataset):

@@ -144,6 +144,8 @@ def split_dataset(chart_ids, ratio: float = 0.9, seed: int = 0) -> tuple[list[st
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     n_train = int(len(ids) * ratio)
+    if n_train == 0:
+        raise TooFewCharts(f"ratio {ratio} of {len(ids)} charts leaves no training chart")
     train = [ids[i] for i in order[:n_train]]
     val = [ids[i] for i in order[n_train:]]
     return train, val

@@ -66,7 +66,7 @@ import math
 import struct
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,14 +141,8 @@ class ArchConfig:
         return self.horizon * self.classes
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.frames, self.bands, self.conv1_filters, self.conv2_filters,
-            self.seg_features, self.hidden, self.classes, self.horizon,
-        )
-
-    @classmethod
-    def from_tuple(cls, t) -> "ArchConfig":
-        return cls(*[int(v) for v in t])
+        """The constants in field order, the order of a checkpoint header."""
+        return astuple(self)
 
 
 DEFAULT_ARCH = ArchConfig()
@@ -260,23 +254,17 @@ def init_params(
     dtype=np.float32,
     norm: NormStats | None = None,
 ) -> ModelParams:
-    """Glorot-uniform weights, zero biases, LSTM forget-gate bias +1."""
+    """Glorot-uniform weights, zero biases, LSTM forget-gate bias +1. A
+    weight's fan-in + fan-out is the sum of its first two axes times the
+    product of the rest; the groups draw in :data:`PARAM_NAMES` order."""
     rng = np.random.default_rng(seed)
     h = arch.hidden
     arrays = ParamBuffer(arch, dtype)
-    fans = {
-        "conv1_w": (9, 9 * arch.conv1_filters),
-        "conv2_w": (9 * arch.conv1_filters, 9 * arch.conv2_filters),
-        "fc1_w": (arch.flat_size, arch.fc1_out),
-        "lstm1_wx": (arch.seg_features, 4 * h),
-        "lstm1_wh": (h, 4 * h),
-        "lstm2_wx": (h, 4 * h),
-        "lstm2_wh": (h, 4 * h),
-        "out_w": (h, arch.out_size),
-    }
-    for name, (fan_in, fan_out) in fans.items():
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        arrays[name][...] = rng.uniform(-limit, limit, size=arrays[name].shape)
+    for name in PARAM_NAMES:
+        w = arrays[name]
+        if w.ndim > 1:
+            limit = np.sqrt(6.0 / ((w.shape[0] + w.shape[1]) * math.prod(w.shape[2:])))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
     arrays["lstm1_b"][h : 2 * h] = 1.0
     arrays["lstm2_b"][h : 2 * h] = 1.0
     if norm is None:
@@ -867,7 +855,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState]:
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     try:
-        arch = ArchConfig.from_tuple(constants)
+        arch = ArchConfig(*constants)
     except ValueError as exc:
         raise ShapeMismatch(f"{path}: invalid architecture constants") from exc
 

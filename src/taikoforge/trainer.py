@@ -170,6 +170,8 @@ def train(
     state = init_adam_state(params)
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
+    if log and not len(val_idx):
+        log("no validation examples: validation is skipped, and the explosion rule sees only the training pass")
     save_checkpoint(final_path, params, state)
     prev_loss = math.inf
     records: list[EpochRecord] = []

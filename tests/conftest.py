@@ -17,6 +17,9 @@ from taikoforge.chart import FRAME_MS, NUM_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.chart_io import write_osu
 from taikoforge.neural import ArchConfig, ModelParams, ParamBuffer, init_params, save_checkpoint
 
+#: A model small enough that finite differences over every parameter stay cheap.
+MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
+
 
 def write_wav_pcm16(path, samples, rate=SAMPLE_RATE, channels=1):
     """Write float samples as 16-bit PCM via the stdlib wave module."""

@@ -37,9 +37,9 @@ from taikoforge.metrics import (
 from taikoforge.neural import backward, forward, init_params
 from taikoforge.trainer import TrainConfig, train
 
-from conftest import click_audio_for, overflow_epochs, periodic_chart, random_note_frames, write_wav_pcm16
+from conftest import MINI, click_audio_for, overflow_epochs, periodic_chart, random_note_frames, write_wav_pcm16
 from test_audio import oracle_log_mel
-from test_neural import MINI, gradcheck_params, kink_margin, numeric_grads
+from test_neural import gradcheck_params, kink_margin, numeric_grads
 
 
 def report(number: int, name: str, detail: str = ""):

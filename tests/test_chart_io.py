@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import struct
@@ -353,6 +354,49 @@ def test_beat_length_lookup_matches_the_walk_property(offsets, times):
     beat_length_at = _beat_length_lookup(timing)
     for t in times:
         assert beat_length_at(t) == beat_length_by_walk(timing, t)
+
+
+def frames_by_scan(lines):
+    """The reference overlap rule: parse each object alone for its frames,
+    then place the objects in order, refusing one that lands on a frame an
+    earlier one occupies. None for a refused chart."""
+    alone = [parse_osu(osu_text([line]))[0].frames for line in lines]
+    frames = np.zeros(max(map(len, alone), default=0), dtype=np.uint8)
+    for own in alone:
+        span = np.flatnonzero(own)
+        if frames[span].any():
+            return None
+        frames[span] = own[span]
+    return frames
+
+
+def object_line(kind, start_tenths, length_tenths):
+    """A circle, a spinner or a slider starting at start_tenths / 10 ms; the
+    spans last length_tenths / 10 ms, or that many pixels / 10 for a slider."""
+    t, length = start_tenths / 10, length_tenths / 10
+    return {
+        "circle": f"256,192,{t},1,0,0:0:0:0:",
+        "spinner": f"256,192,{t},12,0,{(start_tenths + length_tenths) / 10}",
+        "slider": f"256,192,{t},2,0,L|320:192,1,{length}",
+    }[kind]
+
+
+#: (kind, tenths of ms after the previous object's start, length): gaps
+#: and spans of a few frames, so that about half the charts overlap.
+OBJECTS = st.tuples(st.sampled_from(["circle", "spinner", "slider"]), st.integers(0, 1000), st.integers(1, 150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(OBJECTS, max_size=6))
+def test_overlap_rule_matches_the_occupied_frame_scan_property(objects):
+    starts = itertools.accumulate(gap for _, gap, _ in objects)
+    lines = [object_line(kind, start, length) for (kind, _, length), start in zip(objects, starts)]
+    expected = frames_by_scan(lines)
+    if expected is None:
+        with pytest.raises(OverlapError, match="overlaps frames"):
+            parse_osu(osu_text(lines))
+    else:
+        assert np.array_equal(parse_osu(osu_text(lines))[0].frames, expected)
 
 
 def test_round_trip_without_length_when_last_frame_noted():

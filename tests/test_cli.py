@@ -11,9 +11,10 @@ from taikoforge.audio import NormStats
 from taikoforge.chart import HIT_CLASSES, FRAME_MS, NoteFrameSequence
 from taikoforge.chart_io import parse_osu, write_osu
 from taikoforge.dataset import ChartEntry, Dataset, DatasetManifest, load_dataset, save_dataset
-from taikoforge.neural import DEFAULT_ARCH, ArchConfig, init_params, save_checkpoint
+from taikoforge.neural import DEFAULT_ARCH, init_params, save_checkpoint
 
 from conftest import (
+    MINI,
     click_audio_for,
     periodic_chart,
     save_checkpoint_v1,
@@ -21,8 +22,6 @@ from conftest import (
     save_checkpoint_with_norm,
     write_wav_pcm16,
 )
-
-MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
 
 
 def run(argv):
@@ -78,6 +77,13 @@ class TestBuildDataset:
         code = run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", tmp_path / "x.tknd"])
         assert code == 2
         assert "song_a" in capsys.readouterr().err
+
+    def test_ratio_that_leaves_no_training_chart_exits_2(self, tiny_corpus, tmp_path, capsys):
+        charts_dir, audio_dir = tiny_corpus
+        out = tmp_path / "x.tknd"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", out, "--ratio", 0.1]) == 2
+        assert_one_line_error(capsys, "ratio 0.1 of 2 charts leaves no training chart")
+        assert not out.exists()
 
     def test_rerun_bit_identical(self, tiny_corpus, tmp_path):
         charts_dir, audio_dir = tiny_corpus
@@ -250,6 +256,32 @@ class TestTrain:
         assert (args.phase1_epochs, args.phase1_lr, args.phase1_batch, args.phase2_lr, args.phase2_max) == (
             config.phase1_epochs, config.phase1_lr, config.phase1_batch, config.phase2_lr, config.phase2_max_epochs
         )
+
+    def test_dataset_without_validation_trains_and_logs_that_it_skips_validation(self, tiny_corpus, tmp_path):
+        charts_dir, audio_dir = tiny_corpus
+        dataset, out_dir = tmp_path / "all-train.tknd", tmp_path / "run"
+        assert run(["build-dataset", "--charts", charts_dir, "--audio", audio_dir, "--out", dataset, "--ratio", 1.0]) == 0
+        assert run(["train", "--dataset", dataset, "--out-dir", out_dir, "--phase1-epochs", 1, "--phase2-max", 0]) == 0
+        lines = (out_dir / "train.log").read_text().splitlines()
+        assert lines[0].startswith("no validation examples: validation is skipped")
+        assert lines[1].startswith("phase 1 epoch   1  ")
+
+    def test_rerun_into_a_finished_run_exits_2_and_keeps_both_files(self, trained_checkpoint, built_dataset, capsys):
+        out_dir = trained_checkpoint.parent
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir]) == 2
+        assert_one_line_error(capsys, f"{out_dir / 'final.tknm'} already exists")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_out_dir_holding_only_a_log_is_refused(self, built_dataset, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "train.log").write_text("phase 1 epoch   1\n")
+        assert run(["train", "--dataset", built_dataset, "--out-dir", out_dir]) == 2
+        assert_one_line_error(capsys, f"{out_dir / 'train.log'} already exists")
+        assert [p.name for p in out_dir.iterdir()] == ["train.log"]
+        assert (out_dir / "train.log").read_text() == "phase 1 epoch   1\n"
 
     def test_rerun_bit_identical(self, built_dataset, tmp_path):
         finals = []

@@ -142,6 +142,11 @@ class TestSplit:
         with pytest.raises(TooFewCharts):
             split_dataset(["only"], seed=0)
 
+    @pytest.mark.parametrize("ratio", [0.1, 0.0])
+    def test_ratio_that_leaves_no_training_chart(self, ratio):
+        with pytest.raises(TooFewCharts, match=f"ratio {ratio} of 3 charts leaves no training chart"):
+            split_dataset(["a", "b", "c"], ratio=ratio, seed=0)
+
     def test_no_overlap_and_complete(self):
         ids = [f"c{i}" for i in range(37)]
         train, val = split_dataset(ids, seed=9)

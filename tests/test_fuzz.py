@@ -14,11 +14,9 @@ from taikoforge.chart import binarize
 from taikoforge.chart_io import parse_osu, parse_sm, write_osu
 from taikoforge.dataset import MIN_FRAMES, ChartEntry, Dataset, DatasetManifest, load_dataset, save_dataset
 from taikoforge.errors import TaikoForgeError
-from taikoforge.neural import ArchConfig, init_params, load_checkpoint, save_checkpoint
+from taikoforge.neural import init_params, load_checkpoint, save_checkpoint
 
-from conftest import random_note_frames
-
-MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
+from conftest import MINI, random_note_frames
 
 
 def riff(fmt_tag, channels, rate, bits, data: bytes) -> bytes:

@@ -4,9 +4,9 @@ import pytest
 from taikoforge.chart import HIT_CLASSES, NoteClass, NoteFrameSequence
 from taikoforge.errors import ShapeMismatch
 from taikoforge.generator import generate_notes, postprocess
-from taikoforge.neural import DEFAULT_ARCH, TRUNK_CHUNK, ArchConfig, forward, init_params
+from taikoforge.neural import DEFAULT_ARCH, TRUNK_CHUNK, forward, init_params
 
-MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
+from conftest import MINI
 
 
 def mini_params(seed=0):

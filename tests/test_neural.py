@@ -49,10 +49,7 @@ from taikoforge.neural import (
     trunk,
 )
 
-from conftest import save_checkpoint_v1, save_checkpoint_with_constants, save_checkpoint_with_norm
-
-# small enough that finite differences over every parameter stay cheap
-MINI = ArchConfig(frames=4, bands=4, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=3)
+from conftest import MINI, save_checkpoint_v1, save_checkpoint_with_constants, save_checkpoint_with_norm
 
 
 def mini_example(seed=0):
@@ -89,6 +86,47 @@ class TestArch:
         h = MINI.hidden
         assert np.all(params["lstm1_b"][h : 2 * h] == 1.0)
         assert np.all(params["lstm1_b"][:h] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "arch", [DEFAULT_ARCH, MINI, ArchConfig(frames=8), ArchConfig(frames=12)], ids=["default", "mini", "f8", "f12"]
+    )
+    def test_init_params_bit_equal_to_explicit_fan_table(self, arch, dtype):
+        for seed in (0, 1, 1337, 2024):
+            assert init_params(arch, seed=seed, dtype=dtype).flat.tobytes() == glorot_reference(arch, seed, dtype).tobytes()
+
+    def test_constants_round_trip_in_header_order(self, tmp_path):
+        # every field differs, so a swap of any two would show
+        arch = ArchConfig(frames=12, bands=20, conv1_filters=2, conv2_filters=3, seg_features=8, hidden=5, horizon=6)
+        assert ArchConfig(*arch.as_tuple()) == arch
+        path = tmp_path / "model.tknm"
+        save_checkpoint(path, init_params(arch, seed=0))
+        assert load_checkpoint(path)[0].arch == arch
+        assert struct.unpack_from("<8I", path.read_bytes(), 8) == (12, 20, 2, 3, 8, 5, 7, 6)
+
+
+def glorot_reference(arch, seed, dtype):
+    """Glorot init with each weight's fan-in and fan-out spelled out, group
+    by group, in the order init_params draws them."""
+    rng = np.random.default_rng(seed)
+    h = arch.hidden
+    buf = ParamBuffer(arch, dtype)
+    fans = {
+        "conv1_w": (9, 9 * arch.conv1_filters),
+        "conv2_w": (9 * arch.conv1_filters, 9 * arch.conv2_filters),
+        "fc1_w": (arch.flat_size, arch.fc1_out),
+        "lstm1_wx": (arch.seg_features, 4 * h),
+        "lstm1_wh": (h, 4 * h),
+        "lstm2_wx": (h, 4 * h),
+        "lstm2_wh": (h, 4 * h),
+        "out_w": (h, arch.out_size),
+    }
+    for name, (fan_in, fan_out) in fans.items():
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        buf[name] = rng.uniform(-limit, limit, size=buf[name].shape)
+    buf["lstm1_b"][h : 2 * h] = 1.0
+    buf["lstm2_b"][h : 2 * h] = 1.0
+    return buf.flat
 
 
 class TestForward:
